@@ -18,7 +18,7 @@ from . import config as config_mod
 from .config import RunConfig, load_config, make_clients
 from .dataflow import build_dataflow_graph, to_dot
 from .distill import build_distillation_data, load_query_lists, save_samples
-from .errors import CodeRagError, EmptyRepository, PickerUnavailable
+from .errors import CodeRagError, EmptyRepository, IndexFormatError, PickerUnavailable
 from .evaluation import (
     ADAPTERS,
     evaluate,
@@ -34,7 +34,9 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-_STAGE_ROWS = ("query_construction", "sparse", "dense", "dataflow", "rerank")
+_STAGE_ROWS = (
+    "query_construction", "sparse", "dense", "dataflow", "rerank", "prompt_assembly", "generate",
+)
 
 _OVERRIDE_FIELDS = (
     "f", "m", "g", "j", "u", "w",
@@ -84,6 +86,8 @@ def _load_index(kb_dir: str) -> RepoIndex:
         raise SystemExit(
             f"error: no index at {kb_dir} ({exc}); run `coderag index <repo> --out {kb_dir}` first"
         ) from exc
+    except IndexFormatError as exc:
+        raise SystemExit(f"error: {exc}") from exc
 
 
 def _complete_kwargs(cfg: RunConfig) -> dict:
@@ -230,7 +234,7 @@ def cmd_bench_timings(args: argparse.Namespace) -> int:
 
     print(f"mean seconds per stage over {counted} tasks:")
     for stage in _STAGE_ROWS:
-        enabled = stage in ("query_construction", "rerank") or stage in cfg.paths
+        enabled = stage not in ALL_PATHS or stage in cfg.paths
         value = f"{sums[stage] / counted:.6f}" if enabled else "skipped"
         print(f"  {stage:<20} {value}")
     return EXIT_OK

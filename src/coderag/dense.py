@@ -16,8 +16,9 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import EmbedderUnavailable
+from .errors import EmbedderUnavailable, EmbeddingDimensionMismatch
 from .kb import CodeKnowledgeBase
+from .topj import top_j
 
 DENSE_FILE_NAME = "dense.vec"
 FORMAT_VERSION = 1
@@ -39,10 +40,14 @@ class DenseIndex:
     dim: int
 
     def __post_init__(self) -> None:
-        norms = np.linalg.norm(self.vectors.astype(np.float64), axis=1)
-        self._active = norms > 0.0
-        if not np.all((np.abs(norms - 1.0) <= 1e-6) | ~self._active):
+        # Scoring runs in float64; the widened copy is kept so that a query
+        # does not pay for converting the whole matrix again.
+        self._vectors64 = self.vectors.astype(np.float64)
+        norms = np.linalg.norm(self._vectors64, axis=1)
+        active = norms > 0.0
+        if not np.all((np.abs(norms - 1.0) <= 1e-6) | ~active):
             raise ValueError("stored vectors must be unit-normalized or zero")
+        self._active_pos = np.flatnonzero(active)
 
 
 def _normalize(raw: np.ndarray) -> np.ndarray:
@@ -82,22 +87,20 @@ def dense_retrieve(
     """Top-j items by cosine (dot of unit vectors); no score floor is applied.
 
     Ties break by ascending item id.  A query that embeds to the zero
-    vector has no direction and retrieves nothing.
+    vector has no direction and retrieves nothing; one whose dimension is
+    not the index's raises ``EmbeddingDimensionMismatch``.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
     raw = np.asarray(embedder.embed(query_text), dtype=np.float64)
+    if raw.shape != (index.dim,):
+        raise EmbeddingDimensionMismatch(index.dim, raw.size)
     q = _normalize(raw).astype(np.float64)
     if not q.any():
         return []
-    scores = index.vectors.astype(np.float64) @ q
-    scored = [
-        (index.item_ids[pos], float(scores[pos]))
-        for pos in range(len(index.item_ids))
-        if index._active[pos]
-    ]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[:j]
+    scores = index._vectors64 @ q
+    active = index._active_pos
+    return top_j(index.item_ids, active, scores[active], j)
 
 
 def save_dense_index(index: DenseIndex, out_dir: str | Path) -> None:

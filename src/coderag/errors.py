@@ -60,3 +60,20 @@ class PipelineStageError(CodeRagError):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+class IndexFormatError(CodeRagError):
+    """An index file is not in the format this version reads."""
+
+
+class EmbeddingDimensionMismatch(CodeRagError):
+    """A query embedding does not have the dense index's dimension."""
+
+    def __init__(self, index_dim: int, query_dim: int):
+        super().__init__(
+            f"query embedding has dimension {query_dim}, but the dense index was "
+            f"built with dimension {index_dim}; query with the embedder the index "
+            f"was built with, or re-run `coderag index`"
+        )
+        self.index_dim = index_dim
+        self.query_dim = query_dim

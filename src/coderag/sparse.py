@@ -1,22 +1,32 @@
 """TF-IDF inverted index over knowledge items with cosine scoring.
 
 Weighting: tf = raw count, idf = ln(N/df) + 1, similarity = cosine.
-All float accumulation runs in ascending term-id order so the postings
-walk is bit-identical to a dense vector computation of the same formula.
+Postings are CSR arrays: the postings of term ``t`` are
+``post_pos[term_ptr[t]:term_ptr[t+1]]`` (item positions, ascending) and
+the matching ``post_tf`` counts.  All float accumulation runs in
+ascending term-id order (``np.bincount`` adds its weights in input
+order), so scores are bit-identical to a dense vector computation of the
+same formula.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
+from .errors import IndexFormatError
 from .kb import CodeKnowledgeBase
 from .lexing import subtokens
+from .topj import top_j
 
 SPARSE_FILE_NAME = "sparse.idx"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_MAGIC = b"CRSI"
 
 
 @dataclass
@@ -24,9 +34,14 @@ class SparseIndex:
     item_ids: list[str]  # position -> knowledge item id
     vocabulary: dict[str, int]  # term -> term id (ids follow sorted term order)
     df: list[int]  # term id -> document frequency
-    postings: list[list[tuple[int, int]]]  # term id -> [(item position, tf)]
+    term_ptr: np.ndarray  # int64, term id -> start of its postings; len = terms + 1
+    post_pos: np.ndarray  # int32 item positions, ascending within each term
+    post_tf: np.ndarray  # int32 term counts, parallel to post_pos
     idf: list[float]
     item_norms: list[float]
+
+    def __post_init__(self) -> None:
+        self._norms = np.asarray(self.item_norms, dtype=np.float64)
 
     @property
     def item_count(self) -> int:
@@ -43,26 +58,27 @@ def _term_counts(text: str) -> dict[str, int]:
 def _finalize(
     item_ids: list[str],
     vocabulary: dict[str, int],
-    df: list[int],
-    postings: list[list[tuple[int, int]]],
+    term_ptr: np.ndarray,
+    post_pos: np.ndarray,
+    post_tf: np.ndarray,
 ) -> SparseIndex:
     n = len(item_ids)
+    df_arr = np.diff(term_ptr)
+    df = df_arr.tolist()
     idf = [math.log(n / d) + 1.0 for d in df]
-    # Norms accumulate per item in ascending term-id order, matching the
-    # brute-force oracle's iteration order exactly.
-    norms_sq = [0.0] * n
-    for term_id in range(len(df)):
-        w_idf = idf[term_id]
-        for pos, tf in postings[term_id]:
-            w = tf * w_idf
-            norms_sq[pos] += w * w
+    # Postings run in ascending term-id order, so each item's squared
+    # norm accumulates in the brute-force oracle's iteration order.
+    w = post_tf * np.repeat(np.asarray(idf, dtype=np.float64), df_arr)
+    norms_sq = np.bincount(post_pos, weights=w * w, minlength=n)
     return SparseIndex(
         item_ids=item_ids,
         vocabulary=vocabulary,
         df=df,
-        postings=postings,
+        term_ptr=term_ptr,
+        post_pos=post_pos,
+        post_tf=post_tf,
         idf=idf,
-        item_norms=[math.sqrt(s) for s in norms_sq],
+        item_norms=np.sqrt(norms_sq).tolist(),
     )
 
 
@@ -73,14 +89,26 @@ def build_sparse_index(kb: CodeKnowledgeBase) -> SparseIndex:
 
     terms = sorted({term for counts in per_item_counts for term in counts})
     vocabulary = {term: tid for tid, term in enumerate(terms)}
-    df = [0] * len(terms)
-    postings: list[list[tuple[int, int]]] = [[] for _ in terms]
-    for pos, counts in enumerate(per_item_counts):
-        for term, tf in counts.items():
-            tid = vocabulary[term]
-            df[tid] += 1
-            postings[tid].append((pos, tf))
-    return _finalize(item_ids, vocabulary, df, postings)
+    tids: list[int] = []
+    tfs: list[int] = []
+    for counts in per_item_counts:
+        tids.extend(map(vocabulary.__getitem__, counts))
+        tfs.extend(counts.values())
+    lengths = [len(counts) for counts in per_item_counts]
+    tid_arr = np.asarray(tids, dtype=np.int64)
+    # Items were visited in position order; a stable sort by term id keeps
+    # the positions ascending within each term.
+    order = np.argsort(tid_arr, kind="stable")
+    pos_arr = np.repeat(np.arange(len(item_ids), dtype=np.int32), lengths)
+    term_ptr = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tid_arr, minlength=len(terms)), out=term_ptr[1:])
+    return _finalize(
+        item_ids,
+        vocabulary,
+        term_ptr,
+        pos_arr[order],
+        np.asarray(tfs, dtype=np.int32)[order],
+    )
 
 
 def sparse_retrieve(
@@ -101,44 +129,81 @@ def sparse_retrieve(
         return []
 
     q_norm_sq = 0.0
-    dots = [0.0] * index.item_count
+    pos_parts, weight_parts = [], []
     for tid, q_tf in known:
         qw = q_tf * index.idf[tid]
         q_norm_sq += qw * qw
-        for pos, d_tf in index.postings[tid]:
-            dots[pos] += qw * (d_tf * index.idf[tid])
+        span = slice(index.term_ptr[tid], index.term_ptr[tid + 1])
+        pos_parts.append(index.post_pos[span])
+        weight_parts.append(qw * (index.post_tf[span] * index.idf[tid]))
     q_norm = math.sqrt(q_norm_sq)
+    # Parts are in ascending term-id order, which bincount keeps per item.
+    dots = np.bincount(
+        np.concatenate(pos_parts),
+        weights=np.concatenate(weight_parts),
+        minlength=index.item_count,
+    )
 
-    scored = [
-        (index.item_ids[pos], dot / (q_norm * index.item_norms[pos]))
-        for pos, dot in enumerate(dots)
-        if dot != 0.0
-    ]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[:j]
+    hit = np.flatnonzero(dots)
+    scores = dots[hit] / (q_norm * index._norms[hit])
+    return top_j(index.item_ids, hit, scores, j)
 
 
 def save_sparse_index(index: SparseIndex, out_dir: str | Path) -> None:
+    """Binary layout (all little-endian): magic, u32 header (version, item
+    count, term count, postings count), i64 ``term_ptr``, i32 ``post_pos``,
+    i32 ``post_tf``, then two tables, each a u32 byte length and UTF-8
+    JSON: the terms in term-id order, then the item ids.  Document
+    frequencies are ``diff(term_ptr)`` and are not stored twice."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     terms = sorted(index.vocabulary, key=index.vocabulary.get)
-    payload = {
-        "version": FORMAT_VERSION,
-        "item_ids": index.item_ids,
-        "terms": terms,
-        "df": index.df,
-        "postings": [[[pos, tf] for pos, tf in plist] for plist in index.postings],
-    }
-    with open(out / SPARSE_FILE_NAME, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, ensure_ascii=False)
-        fh.write("\n")
+    header = struct.pack(
+        "<IIII", FORMAT_VERSION, len(index.item_ids), len(terms), len(index.post_pos)
+    )
+    with open(out / SPARSE_FILE_NAME, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(header)
+        fh.write(np.ascontiguousarray(index.term_ptr, dtype="<i8").tobytes())
+        fh.write(np.ascontiguousarray(index.post_pos, dtype="<i4").tobytes())
+        fh.write(np.ascontiguousarray(index.post_tf, dtype="<i4").tobytes())
+        for table in (terms, index.item_ids):
+            blob = json.dumps(table, ensure_ascii=False).encode("utf-8")
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
 
 
 def load_sparse_index(kb_dir: str | Path) -> SparseIndex:
-    with open(Path(kb_dir) / SPARSE_FILE_NAME, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload["version"] != FORMAT_VERSION:
-        raise ValueError(f"unsupported sparse index version {payload['version']}")
-    vocabulary = {term: tid for tid, term in enumerate(payload["terms"])}
-    postings = [[(pos, tf) for pos, tf in plist] for plist in payload["postings"]]
-    return _finalize(payload["item_ids"], vocabulary, payload["df"], postings)
+    path = Path(kb_dir) / SPARSE_FILE_NAME
+    blob = path.read_bytes()
+    if blob[:4] != _MAGIC:
+        if blob[:1] == b"{":
+            raise IndexFormatError(
+                f"{path} is a version-1 (JSON) sparse index, which this version no "
+                f"longer reads; re-run `coderag index` to rebuild it"
+            )
+        raise IndexFormatError(f"{path} is not a sparse index file")
+    version, n_items, n_terms, n_postings = struct.unpack_from("<IIII", blob, 4)
+    if version != FORMAT_VERSION:
+        raise IndexFormatError(
+            f"{path} has sparse index version {version}, expected {FORMAT_VERSION}; "
+            f"re-run `coderag index` to rebuild it"
+        )
+    offset = 4 + 16
+    arrays = []
+    for dtype, count in (("<i8", n_terms + 1), ("<i4", n_postings), ("<i4", n_postings)):
+        raw = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
+        arrays.append(raw.astype(raw.dtype.newbyteorder("=")))
+        offset += raw.nbytes
+    tables = []
+    for _ in range(2):
+        (length,) = struct.unpack_from("<I", blob, offset)
+        offset += 4
+        tables.append(json.loads(blob[offset : offset + length].decode("utf-8")))
+        offset += length
+    terms, item_ids = tables
+    if len(terms) != n_terms or len(item_ids) != n_items:
+        raise IndexFormatError(f"{path} is truncated or inconsistent")
+    term_ptr, post_pos, post_tf = arrays
+    vocabulary = {term: tid for tid, term in enumerate(terms)}
+    return _finalize(item_ids, vocabulary, term_ptr, post_pos, post_tf)

@@ -145,6 +145,25 @@ def test_complete_missing_index_exits_2(indexed_mini, tmp_path, capsys):
     assert "coderag index" in capsys.readouterr().err
 
 
+def test_complete_version_1_sparse_index_asks_for_reindex(indexed_mini, tmp_path, capsys):
+    repo, idx = indexed_mini
+    (idx / "sparse.idx").write_text('{"version": 1, "item_ids": [], "terms": []}\n')
+    task = write_task(tmp_path / "task.json", repo)
+    assert run_cli("complete", "--task", str(task), "--kb-dir", str(idx)) == 2
+    err = capsys.readouterr().err
+    assert "version-1" in err and "coderag index" in err
+
+
+def test_complete_embed_dim_mismatch_names_both_dims(indexed_mini, tmp_path, capsys):
+    repo, idx = indexed_mini  # indexed with the default --embed-dim 64
+    task = write_task(tmp_path / "task.json", repo)
+    code = run_cli("complete", "--task", str(task), "--kb-dir", str(idx), "--embed-dim", "32")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "dimension 32" in err and "dimension 64" in err
+    assert "matmul" not in err
+
+
 def test_complete_dataflow_dot(indexed_mini, tmp_path):
     repo, idx = indexed_mini
     task = write_task(tmp_path / "task.json", repo)
@@ -244,6 +263,10 @@ def test_bench_timings_table(indexed_mini, tmp_path, capsys):
         assert stage in stdout
     dense_row = next(line for line in stdout.splitlines() if "dense" in line and "query" not in line)
     assert "skipped" in dense_row
+    for stage in ("prompt_assembly", "generate"):
+        row = next(line for line in stdout.splitlines() if line.split()[:1] == [stage])
+        assert "skipped" not in row
+        float(row.split()[1])
 
 
 def test_help_shows_defaults(capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from coderag.clients import StubEmbedder
 from coderag.dense import build_dense_index, dense_retrieve, load_dense_index, save_dense_index
-from coderag.errors import EmbedderUnavailable
+from coderag.errors import CodeRagError, EmbedderUnavailable, EmbeddingDimensionMismatch
 
 from .test_sparse import kb_from_texts
 
@@ -187,3 +187,52 @@ def test_zero_query_returns_empty():
     embedder = StubEmbedder(dim=8)
     index = build_dense_index(kb_from_texts(["alpha"]), embedder)
     assert dense_retrieve(index, "", embedder, 3) == []
+
+
+def test_tie_at_the_cut_matches_oracle():
+    # Identical texts embed to identical vectors, so 30 items tie for first
+    # and straddle rank j.
+    rng = random.Random(8)
+    texts = ["parse config"] * 30 + ["parse"] * 10 + ["config read"] * 10
+    rng.shuffle(texts)
+    embedder = StubEmbedder(dim=16, seed=3)
+    index = build_dense_index(kb_from_texts(texts), embedder)
+    for j in (1, 7, 15, 30, 31, 45):
+        hits = dense_retrieve(index, "parse config", embedder, j)
+        expected = oracle_rank(index, np.asarray(embedder.embed("parse config")), j)
+        assert [h[0] for h in hits] == [e[0] for e in expected], f"j={j}"
+        assert [h[1] for h in hits] == pytest.approx([e[1] for e in expected])
+
+
+def test_tie_at_the_cut_breaks_by_id_not_position():
+    ids = [f"id{i:02d}" for i in range(40)][::-1]  # position order is id order reversed
+    embedder = StubEmbedder(dim=16, seed=3)
+    index = build_dense_index(kb_from_texts(["parse config"] * 40, ids), embedder)
+    hits = dense_retrieve(index, "parse config", embedder, 5)
+    assert [h[0] for h in hits] == ["id00", "id01", "id02", "id03", "id04"]
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_oracle_equivalence_large_corpus(seed):
+    rng = random.Random(seed)
+    vocab = ["parse", "config", "read", "sensor", "motor", "rate", "load", "path"]
+    embedder = StubEmbedder(dim=16, seed=3)
+    texts = [" ".join(rng.choices(vocab, k=rng.randint(0, 6))) for _ in range(2500)]
+    index = build_dense_index(kb_from_texts(texts), embedder)
+    for _ in range(4):
+        query = " ".join(rng.choices(vocab, k=rng.randint(1, 5)))
+        j = rng.randint(1, 15)
+        hits = dense_retrieve(index, query, embedder, j)
+        expected = oracle_rank(index, np.asarray(embedder.embed(query)), j)
+        assert [h[0] for h in hits] == [e[0] for e in expected], f"query={query!r} j={j}"
+        assert [h[1] for h in hits] == pytest.approx([e[1] for e in expected])
+
+
+def test_query_dimension_mismatch_is_typed():
+    index = build_dense_index(kb_from_texts(["alpha beta"]), StubEmbedder(dim=64))
+    with pytest.raises(EmbeddingDimensionMismatch) as exc_info:
+        dense_retrieve(index, "alpha", StubEmbedder(dim=32), 3)
+    err = exc_info.value
+    assert isinstance(err, CodeRagError)
+    assert (err.index_dim, err.query_dim) == (64, 32)
+    assert "64" in str(err) and "32" in str(err)

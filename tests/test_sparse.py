@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
 import pytest
+
+from coderag.errors import CodeRagError, IndexFormatError
 
 from coderag.kb import CodeKnowledgeBase, CodeKnowledgeItem, ItemKind
 from coderag.lexing import subtokens
@@ -17,10 +20,10 @@ from coderag.sparse import (
 )
 
 
-def kb_from_texts(texts: list[str]) -> CodeKnowledgeBase:
+def kb_from_texts(texts: list[str], ids: list[str] | None = None) -> CodeKnowledgeBase:
     items = [
         CodeKnowledgeItem(
-            id=f"item{i:03d}",
+            id=ids[i] if ids else f"item{i:03d}",
             kind=ItemKind.FUNCTION,
             qualified_name=f"f{i}",
             file_path="corpus.py",
@@ -185,3 +188,56 @@ def test_j_must_be_positive():
     index = build_sparse_index(kb_from_texts(["a"]))
     with pytest.raises(ValueError):
         sparse_retrieve(index, "a", 0)
+
+
+def test_tie_at_the_cut_matches_oracle():
+    # 30 identical items tie at score 1.0 and straddle rank j; others score lower.
+    rng = random.Random(8)
+    texts = ["parse config"] * 30 + ["parse"] * 10 + ["config read"] * 10
+    rng.shuffle(texts)
+    index = build_sparse_index(kb_from_texts(texts))
+    for j in (1, 7, 15, 30, 31, 45):
+        assert sparse_retrieve(index, "parse config", j) == oracle_retrieve(
+            texts, "parse config", j
+        )
+
+
+def test_tie_at_the_cut_breaks_by_id_not_position():
+    ids = [f"id{i:02d}" for i in range(40)][::-1]  # position order is id order reversed
+    index = build_sparse_index(kb_from_texts(["parse config"] * 40, ids))
+    hits = sparse_retrieve(index, "parse", 5)
+    assert [h[0] for h in hits] == ["id00", "id01", "id02", "id03", "id04"]
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_oracle_equivalence_large_corpus(seed):
+    # Enough items that the candidate count far exceeds j, so the partition
+    # step (not just the final sort) decides the result.
+    rng = random.Random(seed)
+    texts = [" ".join(rng.choices(VOCAB, k=rng.randint(0, 6))) for _ in range(2500)]
+    index = build_sparse_index(kb_from_texts(texts))
+    for _ in range(6):
+        query = " ".join(rng.choices(VOCAB + ["missing"], k=rng.randint(1, 6)))
+        j = rng.randint(1, 15)
+        assert sparse_retrieve(index, query, j) == oracle_retrieve(texts, query, j), (
+            f"query={query!r} j={j}"
+        )
+
+
+def test_binary_layout_header(tmp_path):
+    index = build_sparse_index(kb_from_texts(["a b", "b c", ""]))
+    save_sparse_index(index, tmp_path)
+    blob = (tmp_path / "sparse.idx").read_bytes()
+    assert blob[:4] == b"CRSI"
+    # version, items, terms, postings
+    assert [int.from_bytes(blob[i : i + 4], "little") for i in range(4, 20, 4)] == [2, 3, 3, 4]
+
+
+def test_version_1_json_index_asks_for_reindex(tmp_path):
+    payload = {"version": 1, "item_ids": ["item000"], "terms": ["a"], "df": [1],
+               "postings": [[[0, 1]]]}
+    (tmp_path / "sparse.idx").write_text(json.dumps(payload) + "\n", encoding="utf-8")
+    with pytest.raises(IndexFormatError, match="coderag index") as exc_info:
+        load_sparse_index(tmp_path)
+    assert isinstance(exc_info.value, CodeRagError)
+    assert "version-1" in str(exc_info.value)
