@@ -16,7 +16,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import EmbedderUnavailable, EmbeddingDimensionMismatch
+from .errors import EmbedderUnavailable, EmbeddingDimensionMismatch, IndexFormatError
 from .kb import CodeKnowledgeBase
 from .topj import top_j
 
@@ -119,18 +119,26 @@ def save_dense_index(index: DenseIndex, out_dir: str | Path) -> None:
 
 
 def load_dense_index(kb_dir: str | Path) -> DenseIndex:
-    blob = (Path(kb_dir) / DENSE_FILE_NAME).read_bytes()
+    path = Path(kb_dir) / DENSE_FILE_NAME
+    blob = path.read_bytes()
     if blob[:4] != _MAGIC:
-        raise ValueError("not a dense vector file")
-    dim, count, version = struct.unpack_from("<III", blob, 4)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported dense index version {version}")
-    offset = 4 + 12
-    matrix_bytes = count * dim * 4
-    vectors = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=offset)
-    vectors = vectors.reshape(count, dim).copy()
-    offset += matrix_bytes
-    (table_len,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    item_ids = json.loads(blob[offset : offset + table_len].decode("utf-8"))
-    return DenseIndex(item_ids=item_ids, vectors=vectors, dim=dim)
+        raise IndexFormatError(path, "is not a dense vector file")
+    try:
+        dim, count, version = struct.unpack_from("<III", blob, 4)
+        if version != FORMAT_VERSION:
+            raise IndexFormatError(
+                path, f"has dense index version {version}, expected {FORMAT_VERSION}"
+            )
+        offset = 4 + 12
+        vectors = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=offset)
+        offset += vectors.nbytes
+        (table_len,) = struct.unpack_from("<I", blob, offset)
+        offset += 4
+        item_ids = json.loads(blob[offset : offset + table_len].decode("utf-8"))
+        if len(item_ids) != count:
+            raise IndexFormatError(path, "is truncated or inconsistent")
+        return DenseIndex(item_ids=item_ids, vectors=vectors.reshape(count, dim).copy(), dim=dim)
+    except (struct.error, ValueError) as exc:
+        # Short reads from a truncated file, an undecodable id table, or
+        # stored rows that are not unit vectors.
+        raise IndexFormatError(path, f"is truncated or corrupt ({exc})") from exc

@@ -63,7 +63,12 @@ class PipelineStageError(CodeRagError):
 
 
 class IndexFormatError(CodeRagError):
-    """An index file is not in the format this version reads."""
+    """An index file is not in the format this version reads, or is
+    truncated or corrupt.  The remedy is always a rebuild."""
+
+    def __init__(self, path, problem: str):
+        super().__init__(f"{path} {problem}; re-run `coderag index` to rebuild it")
+        self.path = path
 
 
 class EmbeddingDimensionMismatch(CodeRagError):

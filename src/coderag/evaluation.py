@@ -17,14 +17,43 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .kernels import levenshtein as _lev_kernel
 from .lexing import iter_identifiers
 from .pipeline import CompletionTask
 
 
 def levenshtein(x: str, y: str) -> int:
-    """Unit-cost character edit distance (insert/delete/substitute)."""
-    return _lev_kernel(x, y)
+    """Unit-cost character edit distance (insert/delete/substitute).
+
+    Bit-parallel (Myers 1999; Hyyrö 2003): one column of the DP table is
+    held as vertical +1/-1 delta bit vectors over the shorter string, in
+    Python ints so there is no word-size limit, and advanced one character
+    of the longer string at a time.  ``dist`` tracks the last row.
+    """
+    if x == y:
+        return 0
+    if len(x) < len(y):
+        x, y = y, x
+    if not y:
+        return len(x)
+    masks: dict[str, int] = {}
+    for i, ch in enumerate(y):
+        masks[ch] = masks.get(ch, 0) | (1 << i)
+    full = (1 << len(y)) - 1
+    last = 1 << (len(y) - 1)
+    vp, vn, dist = full, 0, len(y)
+    for ch in x:
+        eq = masks.get(ch, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        if hp & last:
+            dist += 1
+        elif hn & last:
+            dist -= 1
+        hp = (hp << 1) | 1
+        vp = ((hn << 1) | ~(d0 | hp)) & full
+        vn = hp & d0
+    return dist
 
 
 def edit_similarity(x: str, y: str) -> float:

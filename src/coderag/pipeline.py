@@ -216,9 +216,16 @@ def complete(
 ) -> CompletionResult:
     """Run the full chain for one task.
 
+    ``paths`` names the enabled retrieval paths, a subset of
+    ``ALL_PATHS``; disabling one shrinks the retrieval list accordingly.
     An empty retrieval list degrades to a zero-shot prompt (the prefix
     alone); all other stage failures propagate tagged with their stage.
     """
+    if j < 1:
+        raise ValueError(f"j must be >= 1, got {j}")
+    unknown = set(paths) - set(ALL_PATHS)
+    if unknown:
+        raise ValueError(f"unknown retrieval paths: {sorted(unknown)}")
     timings: dict[str, float] = {}
 
     with _Stage("query_construction", timings):

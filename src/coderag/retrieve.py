@@ -1,4 +1,4 @@
-"""Three-path retrieval and the merged candidate list of n = 2j+1 results.
+"""The merged three-path candidate list of n = 2j+1 results.
 
 Merge order is dataflow (0 or 1 hit), then sparse ranks 1..j, then dense
 ranks 1..j; duplicates keep their earliest occurrence.  Path scores are
@@ -8,22 +8,13 @@ final order.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from .dataflow import build_dataflow_graph, dataflow_retrieve
-from .dense import DenseIndex, EmbedderClient, dense_retrieve
-from .errors import GraphUnavailable
-from .kb import CodeKnowledgeBase
 from .querybuild import RetrievalQuery
-from .sparse import SparseIndex, sparse_retrieve
 
-DEFAULT_RESULTS_PER_PATH = 15  # j
 ALL_PATHS = ("dataflow", "sparse", "dense")
-
-log = logging.getLogger(__name__)
 
 
 class RetrievalPath(str, Enum):
@@ -75,47 +66,3 @@ def merge_paths(
             merged.append(RetrievalCandidate(item_id, path, rank, score))
     return RetrievalList(query=query, candidates=merged[: 2 * j + 1])
 
-
-def retrieve_all(
-    query: RetrievalQuery,
-    kb: CodeKnowledgeBase,
-    sparse_index: SparseIndex | None = None,
-    dense_index: DenseIndex | None = None,
-    embedder: EmbedderClient | None = None,
-    j: int = DEFAULT_RESULTS_PER_PATH,
-    prefix_text: str | None = None,
-    paths: Sequence[str] = ALL_PATHS,
-) -> RetrievalList:
-    """Run the enabled paths against the knowledge base and merge.
-
-    ``prefix_text`` feeds the dataflow graph (defaults to the query's
-    combined text).  Disabling a path shrinks the list accordingly.
-    """
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    unknown = set(paths) - set(ALL_PATHS)
-    if unknown:
-        raise ValueError(f"unknown retrieval paths: {sorted(unknown)}")
-    disabled = [p for p in ALL_PATHS if p not in paths]
-    if disabled:
-        log.info("retrieval paths disabled: %s (list shrinks accordingly)", disabled)
-
-    dataflow_hits: list[tuple[str, float]] = []
-    if "dataflow" in paths:
-        try:
-            graph = build_dataflow_graph(
-                prefix_text if prefix_text is not None else query.combined_text
-            )
-            dataflow_hits = dataflow_retrieve(graph, kb)
-        except GraphUnavailable:
-            dataflow_hits = []  # soft failure: the path contributes nothing
-
-    sparse_hits: list[tuple[str, float]] = []
-    if "sparse" in paths and sparse_index is not None:
-        sparse_hits = sparse_retrieve(sparse_index, query.combined_text, j)
-
-    dense_hits: list[tuple[str, float]] = []
-    if "dense" in paths and dense_index is not None and embedder is not None:
-        dense_hits = dense_retrieve(dense_index, query.combined_text, embedder, j)
-
-    return merge_paths(query, dataflow_hits, sparse_hits, dense_hits, j)

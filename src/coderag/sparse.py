@@ -179,31 +179,34 @@ def load_sparse_index(kb_dir: str | Path) -> SparseIndex:
     if blob[:4] != _MAGIC:
         if blob[:1] == b"{":
             raise IndexFormatError(
-                f"{path} is a version-1 (JSON) sparse index, which this version no "
-                f"longer reads; re-run `coderag index` to rebuild it"
+                path, "is a version-1 (JSON) sparse index, which this version no longer reads"
             )
-        raise IndexFormatError(f"{path} is not a sparse index file")
-    version, n_items, n_terms, n_postings = struct.unpack_from("<IIII", blob, 4)
-    if version != FORMAT_VERSION:
-        raise IndexFormatError(
-            f"{path} has sparse index version {version}, expected {FORMAT_VERSION}; "
-            f"re-run `coderag index` to rebuild it"
-        )
-    offset = 4 + 16
-    arrays = []
-    for dtype, count in (("<i8", n_terms + 1), ("<i4", n_postings), ("<i4", n_postings)):
-        raw = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
-        arrays.append(raw.astype(raw.dtype.newbyteorder("=")))
-        offset += raw.nbytes
-    tables = []
-    for _ in range(2):
-        (length,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        tables.append(json.loads(blob[offset : offset + length].decode("utf-8")))
-        offset += length
-    terms, item_ids = tables
-    if len(terms) != n_terms or len(item_ids) != n_items:
-        raise IndexFormatError(f"{path} is truncated or inconsistent")
-    term_ptr, post_pos, post_tf = arrays
-    vocabulary = {term: tid for tid, term in enumerate(terms)}
-    return _finalize(item_ids, vocabulary, term_ptr, post_pos, post_tf)
+        raise IndexFormatError(path, "is not a sparse index file")
+    try:
+        version, n_items, n_terms, n_postings = struct.unpack_from("<IIII", blob, 4)
+        if version != FORMAT_VERSION:
+            raise IndexFormatError(
+                path, f"has sparse index version {version}, expected {FORMAT_VERSION}"
+            )
+        offset = 4 + 16
+        arrays = []
+        for dtype, count in (("<i8", n_terms + 1), ("<i4", n_postings), ("<i4", n_postings)):
+            raw = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
+            arrays.append(raw.astype(raw.dtype.newbyteorder("=")))
+            offset += raw.nbytes
+        tables = []
+        for _ in range(2):
+            (length,) = struct.unpack_from("<I", blob, offset)
+            offset += 4
+            tables.append(json.loads(blob[offset : offset + length].decode("utf-8")))
+            offset += length
+        terms, item_ids = tables
+        if len(terms) != n_terms or len(item_ids) != n_items:
+            raise IndexFormatError(path, "is truncated or inconsistent")
+        term_ptr, post_pos, post_tf = arrays
+        vocabulary = {term: tid for tid, term in enumerate(terms)}
+        return _finalize(item_ids, vocabulary, term_ptr, post_pos, post_tf)
+    except (struct.error, ValueError) as exc:
+        # Short reads from a truncated file, undecodable tables, arrays
+        # that do not fit together.
+        raise IndexFormatError(path, f"is truncated or corrupt ({exc})") from exc

@@ -31,7 +31,7 @@ from .conftest import MINI_PREFIX, REPO10_INVENTORY
 from .test_dataflow import KB as DATAFLOW_KB
 from .test_dataflow import ORACLE_TABLE
 from .test_distill import ArgmaxPicker, UniformPicker, exact_consensus_probability, snippets
-from .test_kernels import dp_levenshtein
+from .levenshtein_oracle import dp_levenshtein
 from .test_querybuild import MapProbe
 from .test_rerank import OrderPicker
 from .test_dense import oracle_rank

@@ -154,6 +154,16 @@ def test_complete_version_1_sparse_index_asks_for_reindex(indexed_mini, tmp_path
     assert "version-1" in err and "coderag index" in err
 
 
+@pytest.mark.parametrize("name", ["dense.vec", "sparse.idx"])
+def test_complete_truncated_index_asks_for_reindex(indexed_mini, tmp_path, capsys, name):
+    repo, idx = indexed_mini
+    (idx / name).write_bytes((idx / name).read_bytes()[:10])
+    task = write_task(tmp_path / "task.json", repo)
+    assert run_cli("complete", "--task", str(task), "--kb-dir", str(idx)) == 2
+    err = capsys.readouterr().err
+    assert str(idx / name) in err and "re-run `coderag index`" in err
+
+
 def test_complete_embed_dim_mismatch_names_both_dims(indexed_mini, tmp_path, capsys):
     repo, idx = indexed_mini  # indexed with the default --embed-dim 64
     task = write_task(tmp_path / "task.json", repo)

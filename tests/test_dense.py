@@ -9,7 +9,12 @@ import pytest
 
 from coderag.clients import StubEmbedder
 from coderag.dense import build_dense_index, dense_retrieve, load_dense_index, save_dense_index
-from coderag.errors import CodeRagError, EmbedderUnavailable, EmbeddingDimensionMismatch
+from coderag.errors import (
+    CodeRagError,
+    EmbedderUnavailable,
+    EmbeddingDimensionMismatch,
+    IndexFormatError,
+)
 
 from .test_sparse import kb_from_texts
 
@@ -236,3 +241,24 @@ def test_query_dimension_mismatch_is_typed():
     assert isinstance(err, CodeRagError)
     assert (err.index_dim, err.query_dim) == (64, 32)
     assert "64" in str(err) and "32" in str(err)
+
+
+DAMAGES = {
+    "bad magic": lambda blob: b"XXXX" + blob[4:],
+    "unknown version": lambda blob: blob[:12] + (99).to_bytes(4, "little") + blob[16:],
+    "first 10 bytes": lambda blob: blob[:10],
+    "cut in the matrix": lambda blob: blob[:40],
+    "cut in the id table": lambda blob: blob[:-3],
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGES))
+def test_damaged_file_asks_for_reindex(tmp_path, damage):
+    index = build_dense_index(kb_from_texts(["alpha beta", "gamma"]), StubEmbedder(dim=8))
+    save_dense_index(index, tmp_path)
+    path = tmp_path / "dense.vec"
+    path.write_bytes(DAMAGES[damage](path.read_bytes()))
+    with pytest.raises(IndexFormatError) as exc_info:
+        load_dense_index(tmp_path)
+    assert str(path) in str(exc_info.value)
+    assert "re-run `coderag index`" in str(exc_info.value)

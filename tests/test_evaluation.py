@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 from collections import Counter
 
@@ -27,7 +28,7 @@ from coderag.evaluation import (
 )
 from coderag.pipeline import CompletionTask
 
-from .test_kernels import dp_levenshtein
+from .levenshtein_oracle import dp_levenshtein
 
 short_text = st.text(alphabet="ab c_()=", max_size=24)
 
@@ -67,6 +68,49 @@ def test_levenshtein_identity(x, y):
 @given(short_text, short_text, short_text)
 def test_levenshtein_triangle_inequality(x, y, z):
     assert levenshtein(x, z) <= levenshtein(x, y) + levenshtein(y, z)
+
+
+# Accented, CJK and astral (outside the BMP) characters next to ASCII.
+WIDE_ALPHABET = "ab_( é日本\U0001F600\U00010348"
+
+
+@st.composite
+def long_text_pairs(draw):
+    """One text longer than a 64-bit word, paired with either an unrelated
+    text or a local edit of itself, in either order."""
+    x = draw(st.text(alphabet=WIDE_ALPHABET, min_size=65, max_size=140))
+    if draw(st.booleans()):
+        y = draw(st.text(alphabet=WIDE_ALPHABET, max_size=140))
+    else:
+        i = draw(st.integers(0, len(x)))
+        k = draw(st.integers(i, len(x)))
+        y = x[:i] + draw(st.text(alphabet=WIDE_ALPHABET, max_size=8)) + x[k:]
+    return (y, x) if draw(st.booleans()) else (x, y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(long_text_pairs())
+def test_levenshtein_matches_dp_oracle(pair):
+    x, y = pair
+    assert levenshtein(x, y) == dp_levenshtein(x, y)
+
+
+def test_levenshtein_matches_dp_oracle_at_1000_chars():
+    rng = random.Random(1000)
+    x = "".join(rng.choice(WIDE_ALPHABET) for _ in range(1000))
+    unrelated = "".join(rng.choice(WIDE_ALPHABET) for _ in range(990))
+    edited = x[:400] + "xyz" + x[450:] + "日本"
+    for y in (unrelated, edited):
+        assert levenshtein(x, y) == dp_levenshtein(x, y)
+
+
+def test_levenshtein_unicode_and_edges():
+    assert levenshtein("", "") == 0
+    assert levenshtein("", "abc") == 3
+    assert levenshtein("abc", "") == 3
+    assert levenshtein("naïve", "naive") == 1
+    assert levenshtein("日本語", "日本") == 1
+    assert levenshtein("a\U0001F600b", "ab") == 1
 
 
 # --- exact match ------------------------------------------------------------

@@ -151,6 +151,24 @@ def test_complete_deterministic_across_runs(mini_repo):
     assert len(outputs) == 1 and len(prompts) == 1
 
 
+def test_complete_retrieval_ids_exist_in_kb(mini_repo):
+    index = RepoIndex.build(mini_repo, StubEmbedder())
+    result = complete(mini_task(mini_repo), index, stub_clients(), j=5, u=4)
+    assert result.retrieval_list.candidates
+    for c in result.retrieval_list.candidates:
+        index.kb.get(c.item_id)  # raises KeyError if absent
+    assert len(result.retrieval_list) <= 2 * 5 + 1
+
+
+def test_complete_rejects_unknown_path(mini_repo):
+    index = RepoIndex.build(mini_repo, StubEmbedder())
+    for paths in (("fuzzy",), ("Sparse",), ("sparse", "dense", "graph")):
+        with pytest.raises(ValueError, match="unknown retrieval paths"):
+            complete(mini_task(mini_repo), index, stub_clients(), paths=paths)
+    with pytest.raises(ValueError, match="j must be >= 1"):
+        complete(mini_task(mini_repo), index, stub_clients(), j=0)
+
+
 def test_complete_prefix_unparsable_past_cursor(mini_repo):
     index = RepoIndex.build(mini_repo, StubEmbedder())
     task = CompletionTask(

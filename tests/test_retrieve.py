@@ -1,16 +1,13 @@
-"""Three-path merge arithmetic, dedup, and ablation plumbing."""
+"""Three-path merge arithmetic, dedup and end-to-end retrieval determinism."""
 
 from __future__ import annotations
 
-import pytest
-
-from coderag.clients import StubEmbedder
-from coderag.dense import build_dense_index
+from coderag.clients import EchoGenerator, OverlapPicker, StubEmbedder, StubProbe
+from coderag.pipeline import CompletionTask, PipelineClients, RepoIndex, complete
 from coderag.querybuild import RetrievalQuery
-from coderag.retrieve import RetrievalPath, merge_paths, retrieve_all
-from coderag.sparse import build_sparse_index
+from coderag.retrieve import RetrievalPath, merge_paths
 
-from .test_sparse import kb_from_texts
+from .conftest import MINI_PREFIX
 
 QUERY = RetrievalQuery(selected_chunks=(), target_chunk="q", combined_text="q")
 
@@ -61,60 +58,16 @@ def test_merge_caps_at_2j_plus_1():
     assert len(merged) == 7  # 2*3+1
 
 
-def _indexes():
-    kb = kb_from_texts(["parse config path", "sensor read", "motor spin rate"])
-    return kb, build_sparse_index(kb), build_dense_index(kb, StubEmbedder())
-
-
-def test_retrieve_all_provenance_per_paths_flag():
-    kb, sparse, dense = _indexes()
-    query = RetrievalQuery((), "parse config", "parse config")
-    cases = {
-        ("sparse",): {RetrievalPath.SPARSE},
-        ("dense",): {RetrievalPath.DENSE},
-        ("sparse", "dense"): {RetrievalPath.SPARSE, RetrievalPath.DENSE},
-    }
-    for paths, expected_paths in cases.items():
-        rl = retrieve_all(
-            query, kb, sparse, dense, StubEmbedder(), j=3,
-            prefix_text="parse config", paths=paths,
-        )
-        assert rl.candidates, paths
-        assert {c.path for c in rl.candidates} <= expected_paths
-        assert {c.path for c in rl.candidates} == expected_paths
-
-
-def test_retrieve_all_every_id_exists_in_kb():
-    kb, sparse, dense = _indexes()
-    query = RetrievalQuery((), "sensor read rate", "sensor read rate")
-    rl = retrieve_all(query, kb, sparse, dense, StubEmbedder(), j=5, prefix_text="x = 1")
-    assert rl.candidates
-    for c in rl.candidates:
-        kb.get(c.item_id)  # raises KeyError if absent
-    assert len(rl) <= 2 * 5 + 1
-
-
-def test_retrieve_all_is_deterministic():
-    kb, sparse, dense = _indexes()
-    query = RetrievalQuery((), "motor rate", "motor rate")
-    a = retrieve_all(query, kb, sparse, dense, StubEmbedder(), j=4, prefix_text="m = 1")
-    b = retrieve_all(query, kb, sparse, dense, StubEmbedder(), j=4, prefix_text="m = 1")
-    assert a.candidates == b.candidates
-
-
-def test_retrieve_all_rejects_unknown_path():
-    kb, sparse, dense = _indexes()
-    with pytest.raises(ValueError):
-        retrieve_all(QUERY, kb, sparse, dense, StubEmbedder(), j=1, paths=("fuzzy",))
-
-
-def test_dataflow_slot_via_retrieve_all():
-    kb, sparse, dense = _indexes()
-    # prefix constructs a Sensor and touches .read on the cursor line; the
-    # kb_from_texts corpus has no matching qualified names, so the dataflow
-    # path contributes nothing and the merge still works.
-    rl = retrieve_all(
-        RetrievalQuery((), "s.read", "s.read"), kb, sparse, dense, StubEmbedder(),
-        j=2, prefix_text="s = Sensor()\ns.read",
+def test_retrieve_all_is_deterministic(mini_repo):
+    # Independent index builds and runs yield the same merged retrieval list.
+    task = CompletionTask(
+        task_id="mini-1", repo_root=str(mini_repo), file_path="main.py",
+        prefix=MINI_PREFIX, cursor_line=5, ground_truth="",
     )
-    assert all(c.path is not RetrievalPath.DATAFLOW for c in rl.candidates)
+    lists = []
+    for _ in range(2):
+        index = RepoIndex.build(mini_repo, StubEmbedder())
+        clients = PipelineClients(StubProbe(), StubEmbedder(), OverlapPicker(), EchoGenerator())
+        lists.append(complete(task, index, clients, j=4).retrieval_list.candidates)
+    assert lists[0]
+    assert lists[0] == lists[1]

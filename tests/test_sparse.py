@@ -241,3 +241,23 @@ def test_version_1_json_index_asks_for_reindex(tmp_path):
         load_sparse_index(tmp_path)
     assert isinstance(exc_info.value, CodeRagError)
     assert "version-1" in str(exc_info.value)
+
+
+DAMAGES = {
+    "bad magic": lambda blob: b"XXXX" + blob[4:],
+    "unknown version": lambda blob: blob[:4] + (99).to_bytes(4, "little") + blob[8:],
+    "first 10 bytes": lambda blob: blob[:10],
+    "cut in the arrays": lambda blob: blob[:40],
+    "cut in the tables": lambda blob: blob[:-3],
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGES))
+def test_damaged_file_asks_for_reindex(tmp_path, damage):
+    save_sparse_index(build_sparse_index(kb_from_texts(["a b", "b c", ""])), tmp_path)
+    path = tmp_path / "sparse.idx"
+    path.write_bytes(DAMAGES[damage](path.read_bytes()))
+    with pytest.raises(IndexFormatError) as exc_info:
+        load_sparse_index(tmp_path)
+    assert str(path) in str(exc_info.value)
+    assert "re-run `coderag index`" in str(exc_info.value)
