@@ -1,14 +1,9 @@
 """Repository-aware retrieval-augmented code completion engine."""
 
+from .clients import PipelineClients
 from .config import RunConfig, make_clients
 from .kb import CodeKnowledgeBase, CodeKnowledgeItem, ItemKind, build_knowledge_base
-from .pipeline import (
-    CompletionTask,
-    GenerationConfig,
-    PipelineClients,
-    RepoIndex,
-    complete,
-)
+from .pipeline import CompletionTask, RepoIndex, complete
 
 __version__ = "0.1.0"
 
@@ -16,7 +11,6 @@ __all__ = [
     "CodeKnowledgeBase",
     "CodeKnowledgeItem",
     "CompletionTask",
-    "GenerationConfig",
     "ItemKind",
     "PipelineClients",
     "RepoIndex",

@@ -17,7 +17,12 @@ from pathlib import Path
 from . import config as config_mod
 from .config import RunConfig, load_config, make_clients
 from .dataflow import build_dataflow_graph, to_dot
-from .distill import build_distillation_data, load_query_lists, save_samples
+from .distill import (
+    DEFAULT_SAMPLE_SIZES,
+    build_distillation_data,
+    load_query_lists,
+    save_samples,
+)
 from .errors import CodeRagError, EmptyRepository, IndexFormatError, PickerUnavailable
 from .evaluation import (
     ADAPTERS,
@@ -34,16 +39,8 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-_STAGE_ROWS = (
-    "query_construction", "sparse", "dense", "dataflow", "rerank", "prompt_assembly", "generate",
-)
-
-_OVERRIDE_FIELDS = (
-    "f", "m", "g", "j", "u", "w",
-    "max_new_tokens", "temperature", "max_input_tokens",
-    "probe_endpoint", "embed_endpoint", "pick_endpoint", "generate_endpoint",
-    "rerank_template_path", "embed_dim", "seed", "jobs",
-)
+# One flag per RunConfig field; ``paths`` is a comma list, added by hand.
+_OVERRIDE_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "paths")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -90,15 +87,6 @@ def _load_index(kb_dir: str) -> RepoIndex:
         raise SystemExit(f"error: {exc}") from exc
 
 
-def _complete_kwargs(cfg: RunConfig) -> dict:
-    return {
-        "config": cfg.generation(),
-        "f": cfg.f, "m": cfg.m, "g": cfg.g,
-        "j": cfg.j, "u": cfg.u, "w": cfg.w,
-        "paths": cfg.paths,
-    }
-
-
 def cmd_index(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     clients = make_clients(cfg)
@@ -129,7 +117,7 @@ def cmd_complete(args: argparse.Namespace) -> int:
     task = _read_task(args.task)
     index = _load_index(args.kb_dir)
     clients = make_clients(cfg)
-    result = complete(task, index, clients, **_complete_kwargs(cfg))
+    result = complete(task, index, clients, cfg)
     if args.dataflow_dot:
         Path(args.dataflow_dot).write_text(
             to_dot(build_dataflow_graph(task.prefix)) + "\n", encoding="utf-8"
@@ -153,11 +141,10 @@ def _indexes_for(tasks, kb_dir: str | None, embedder) -> dict[str, RepoIndex]:
 
 def _run_tasks(tasks, indexes, clients, cfg: RunConfig) -> dict[str, object]:
     """Generated text (or the raised exception) per task id."""
-    kwargs = _complete_kwargs(cfg)
 
     def one(task: CompletionTask):
         try:
-            return complete(task, indexes[task.repo_root], clients, **kwargs)
+            return complete(task, indexes[task.repo_root], clients, cfg)
         except Exception as exc:
             return exc
 
@@ -222,20 +209,17 @@ def cmd_bench_timings(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     clients = make_clients(cfg)
     indexes = _indexes_for(tasks, args.kb_dir, clients.embedder)
-    kwargs = _complete_kwargs(cfg)
 
-    sums = {stage: 0.0 for stage in _STAGE_ROWS}
-    counted = 0
+    sums: dict[str, float] = {}  # stage -> seconds, in execution order
     for task in tasks:
-        result = complete(task, indexes[task.repo_root], clients, **kwargs)
-        counted += 1
-        for stage in _STAGE_ROWS:
-            sums[stage] += result.timings.get(stage, 0.0)
+        result = complete(task, indexes[task.repo_root], clients, cfg)
+        for stage, seconds in result.timings.items():
+            sums[stage] = sums.get(stage, 0.0) + seconds
 
-    print(f"mean seconds per stage over {counted} tasks:")
-    for stage in _STAGE_ROWS:
+    print(f"mean seconds per stage over {len(tasks)} tasks:")
+    for stage, total in sums.items():
         enabled = stage not in ALL_PATHS or stage in cfg.paths
-        value = f"{sums[stage] / counted:.6f}" if enabled else "skipped"
+        value = f"{total / len(tasks):.6f}" if enabled else "skipped"
         print(f"  {stage:<20} {value}")
     return EXIT_OK
 
@@ -272,8 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_distill = sub.add_parser("distill", help="emit reranker distillation samples")
     p_distill.add_argument("--in", required=True, help="retrieval lists (JSONL)")
     p_distill.add_argument("--out", required=True, help="output samples (JSONL)")
+    default_sizes = ",".join(map(str, DEFAULT_SAMPLE_SIZES))
     p_distill.add_argument(
-        "--sizes", default="2,3,4,5,6,7", help="candidate-set sizes (default: 2,3,4,5,6,7)"
+        "--sizes", default=default_sizes, help=f"candidate-set sizes (default: {default_sizes})"
     )
     _add_config_flags(p_distill)
     p_distill.set_defaults(fn=cmd_distill)

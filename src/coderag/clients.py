@@ -10,11 +10,28 @@ from __future__ import annotations
 
 import hashlib
 import re
-from typing import Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 from .lexing import identifier_set, subtokens
 
+if TYPE_CHECKING:
+    from .dense import EmbedderClient
+    from .pipeline import GeneratorClient
+    from .querybuild import ProbeClient
+    from .rerank import PickerClient
+
 _APPROX_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+
+
+@dataclass
+class PipelineClients:
+    """The four models one completion talks to."""
+
+    probe: ProbeClient
+    embedder: EmbedderClient
+    picker: PickerClient
+    generator: GeneratorClient
 
 
 def approx_token_count(text: str) -> int:

@@ -1,8 +1,10 @@
 """Run configuration: tuned defaults, config-file loading, client wiring.
 
-Defaults follow the evaluation setup this engine targets: chunks of 3
-lines with 1 probe-selected chunk, 15 results per retrieval path, top 10
-kept after reranking, 48 generated tokens at temperature 0 within a
+:class:`RunConfig` is the one place the tuned defaults are written down;
+the pipeline, the CLI flags and config files all read them from here.
+They follow the evaluation setup this engine targets: chunks of 3 lines
+with 1 probe-selected chunk, 15 results per retrieval path, top 10 kept
+after reranking, 48 generated tokens at temperature 0 within a
 2048-token input budget.
 """
 
@@ -13,8 +15,7 @@ import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .clients import EchoGenerator, OverlapPicker, StubEmbedder, StubProbe
-from .pipeline import GenerationConfig, PipelineClients
+from .clients import EchoGenerator, OverlapPicker, PipelineClients, StubEmbedder, StubProbe
 from .retrieve import ALL_PATHS
 from .wire import (
     WireEmbedderClient,
@@ -31,7 +32,7 @@ ENDPOINT_ENV_VAR = "CODERAG_LM_ENDPOINT"
 @dataclass(frozen=True)
 class RunConfig:
     f: int = 3  # chunk length in lines
-    m: int = 8  # probe generation steps
+    m: int = 8  # probe generation steps; not pinned upstream, small keeps probing cheap
     g: int = 1  # probe-selected chunks
     j: int = 15  # results per retrieval path
     u: int = 10  # knowledge pieces kept after reranking
@@ -62,14 +63,10 @@ class RunConfig:
         unknown = set(self.paths) - set(ALL_PATHS)
         if unknown:
             raise ValueError(f"unknown retrieval paths: {sorted(unknown)}")
-        GenerationConfig(self.max_new_tokens, self.temperature, self.max_input_tokens)
-
-    def generation(self) -> GenerationConfig:
-        return GenerationConfig(
-            max_new_tokens=self.max_new_tokens,
-            temperature=self.temperature,
-            max_input_tokens=self.max_input_tokens,
-        )
+        if self.max_new_tokens < 1 or self.max_input_tokens < 1:
+            raise ValueError("token limits must be positive")
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}

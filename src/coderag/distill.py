@@ -17,9 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import InvalidPickReply, PickerUnavailable
-from .kb import CodeKnowledgeBase
-from .rerank import PickerClient, truncate_snippet
-from .retrieve import RetrievalList
+from .rerank import PickerClient
 
 DEFAULT_SAMPLE_SIZES = (2, 3, 4, 5, 6, 7)
 SUBSETS_PER_SIZE = 3
@@ -51,42 +49,24 @@ class DistillationSample:
         return Counter(self.votes)[self.chosen_id] >= CONSENSUS_THRESHOLD
 
 
-def resolve_candidates(
-    retrieval_list: RetrievalList, kb: CodeKnowledgeBase
-) -> list[Snippet]:
-    return [
-        Snippet(item_id, truncate_snippet(kb.get(item_id).text))
-        for item_id in retrieval_list.item_ids()
-    ]
-
-
 def vote_on_subset(
     query_text: str,
     subset: Sequence[Snippet],
     picker: PickerClient,
-    rng: random.Random | None = None,
-    shuffle_between_votes: bool = False,
 ) -> DistillationSample | None:
     """Five picks over one candidate window; a sample on >= 4/5 consensus.
 
-    By default every vote sees the same window order; ``shuffle_between_votes``
-    exists to measure position bias and is off because reordering is an
-    extra degree of freedom the procedure does not call for.
+    Every vote sees the same window order.
     """
-    window = list(subset)
     votes: list[str] = []
     for _ in range(VOTES_PER_SUBSET):
-        if shuffle_between_votes:
-            if rng is None:
-                raise ValueError("shuffling votes requires an rng")
-            rng.shuffle(window)
         try:
-            idx = picker.pick(query_text, [s.text for s in window])
+            idx = picker.pick(query_text, [s.text for s in subset])
         except InvalidPickReply:
             idx = 0
-        if not isinstance(idx, int) or not 0 <= idx < len(window):
+        if not isinstance(idx, int) or not 0 <= idx < len(subset):
             idx = 0
-        votes.append(window[idx].item_id)
+        votes.append(subset[idx].item_id)
     top_id, count = Counter(votes).most_common(1)[0]
     if count < CONSENSUS_THRESHOLD:
         return None

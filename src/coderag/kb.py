@@ -9,6 +9,7 @@ and are not indexed separately.
 from __future__ import annotations
 
 import ast
+import contextlib
 import datetime as dt
 import hashlib
 import json
@@ -17,8 +18,9 @@ import os
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Callable
 
-from .errors import EmptyRepository, ParseError
+from .errors import EmptyRepository, IndexFormatError, ParseError
 from .lexing import unique_identifiers
 
 log = logging.getLogger(__name__)
@@ -294,10 +296,26 @@ def save_knowledge_base(kb: CodeKnowledgeBase, out_dir: str | Path) -> None:
         fh.write("\n")
 
 
+@contextlib.contextmanager
+def _index_file(path: Path, where: Callable[[], str] = lambda: ""):
+    """Open one index file for reading.  A truncated or hand-edited record
+    (bad JSON or UTF-8, a bad kind, a missing key, a value of the wrong
+    shape) raises :class:`IndexFormatError` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
+        problem = f"a record has no {exc} key" if isinstance(exc, KeyError) else str(exc)
+        raise IndexFormatError(path, f"is truncated or corrupt{where()} ({problem})") from exc
+
+
 def load_knowledge_base(kb_dir: str | Path) -> CodeKnowledgeBase:
     kb_dir = Path(kb_dir)
     items: list[CodeKnowledgeItem] = []
-    with open(kb_dir / KB_FILE_NAME, encoding="utf-8") as fh:
+    # JSON errors give positions within a line, so name the line.
+    with _index_file(
+        kb_dir / KB_FILE_NAME, lambda: f" while reading line {len(items) + 1}"
+    ) as fh:
         for line in fh:
             rec = json.loads(line)
             items.append(
@@ -311,15 +329,18 @@ def load_knowledge_base(kb_dir: str | Path) -> CodeKnowledgeBase:
                     identifiers=tuple(rec["identifiers"]),
                 )
             )
-    with open(kb_dir / MANIFEST_FILE_NAME, encoding="utf-8") as fh:
+    with _index_file(kb_dir / MANIFEST_FILE_NAME) as fh:
         manifest = json.load(fh)
-    return CodeKnowledgeBase(
-        items=items,
-        repo_root=manifest["repo_root"],
-        file_manifest=dict(manifest["files"]),
-        parse_errors=[
-            ParseFailure(e["file_path"], e["diagnostic"])
-            for e in manifest.get("parse_errors", [])
-        ],
-        build_timestamp=manifest.get("build_timestamp", ""),
-    )
+        recorded = dict(
+            repo_root=manifest["repo_root"],
+            file_manifest=dict(manifest["files"]),
+            parse_errors=[
+                ParseFailure(e["file_path"], e["diagnostic"])
+                for e in manifest.get("parse_errors", [])
+            ],
+            build_timestamp=manifest.get("build_timestamp", ""),
+        )
+    try:
+        return CodeKnowledgeBase(items=items, **recorded)
+    except ValueError as exc:  # duplicate ids, or an item's file not in the manifest
+        raise IndexFormatError(kb_dir, f"is inconsistent ({exc})") from exc

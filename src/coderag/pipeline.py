@@ -15,22 +15,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
-from .clients import approx_token_count
+from .clients import PipelineClients, approx_token_count
+from .config import RunConfig
 from .dataflow import build_dataflow_graph, dataflow_retrieve
 from .dense import DenseIndex, EmbedderClient, build_dense_index, dense_retrieve
 from .dense import load_dense_index, save_dense_index
 from .errors import BudgetImpossible, GraphUnavailable, PipelineStageError
 from .kb import CodeKnowledgeBase, build_knowledge_base, load_knowledge_base
 from .kb import save_knowledge_base
-from .querybuild import ProbeClient, RetrievalQuery, construct_query
-from .rerank import PickerClient, RerankOutcome, rerank
-from .retrieve import ALL_PATHS, RetrievalList, merge_paths
+from .querybuild import RetrievalQuery, construct_query
+from .rerank import RerankOutcome, rerank
+from .retrieve import RetrievalList, merge_paths
 from .sparse import SparseIndex, build_sparse_index, load_sparse_index
 from .sparse import save_sparse_index, sparse_retrieve
 
-DEFAULT_MAX_NEW_TOKENS = 48
-DEFAULT_TEMPERATURE = 0.0
-DEFAULT_MAX_INPUT_TOKENS = 2048
 APPROX_COUNT_MARGIN = 0.9  # shrink the budget 10% when counting is approximate
 
 SNIPPET_HEADER = "# file: {path}"
@@ -53,33 +51,13 @@ class CompletionTask:
             raise ValueError(f"task {self.task_id}: prefix must be non-empty")
 
 
-@dataclass(frozen=True)
-class GenerationConfig:
-    max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS
-    temperature: float = DEFAULT_TEMPERATURE
-    max_input_tokens: int = DEFAULT_MAX_INPUT_TOKENS
-
-    def __post_init__(self) -> None:
-        if self.max_new_tokens < 1 or self.max_input_tokens < 1:
-            raise ValueError("token limits must be positive")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-
-
 class GeneratorClient(Protocol):
     """Completion model; deterministic at temperature 0.  ``count_tokens``
     is optional — prompt assembly falls back to an approximate counter
-    with a safety margin when it is missing."""
+    with a safety margin when it is missing.  ``config`` supplies
+    ``max_new_tokens`` and ``temperature``."""
 
-    def generate(self, prompt: str, config: GenerationConfig) -> str: ...
-
-
-@dataclass
-class PipelineClients:
-    probe: ProbeClient
-    embedder: EmbedderClient
-    picker: PickerClient
-    generator: GeneratorClient
+    def generate(self, prompt: str, config: RunConfig) -> str: ...
 
 
 @dataclass
@@ -129,7 +107,7 @@ def assemble_prompt(
     prefix: str,
     budget: int,
     generator: GeneratorClient,
-    reserve: int = DEFAULT_MAX_NEW_TOKENS,
+    reserve: int,
 ) -> str:
     """Join snippet blocks and the prefix under the input-token budget.
 
@@ -205,31 +183,22 @@ def complete(
     task: CompletionTask,
     index: RepoIndex,
     clients: PipelineClients,
-    config: GenerationConfig = GenerationConfig(),
-    f: int = 3,
-    m: int = 8,
-    g: int = 1,
-    j: int = 15,
-    u: int = 10,
-    w: int = 3,
-    paths: Sequence[str] = ALL_PATHS,
+    config: RunConfig = RunConfig(),
 ) -> CompletionResult:
     """Run the full chain for one task.
 
-    ``paths`` names the enabled retrieval paths, a subset of
-    ``ALL_PATHS``; disabling one shrinks the retrieval list accordingly.
-    An empty retrieval list degrades to a zero-shot prompt (the prefix
-    alone); all other stage failures propagate tagged with their stage.
+    ``config.paths`` names the enabled retrieval paths; disabling one
+    shrinks the retrieval list accordingly.  An empty retrieval list
+    degrades to a zero-shot prompt (the prefix alone); all other stage
+    failures propagate tagged with their stage.
     """
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
-    unknown = set(paths) - set(ALL_PATHS)
-    if unknown:
-        raise ValueError(f"unknown retrieval paths: {sorted(unknown)}")
+    paths, j = config.paths, config.j
     timings: dict[str, float] = {}
 
     with _Stage("query_construction", timings):
-        query = construct_query(task.prefix, None, f=f, m=m, g=g, probe=clients.probe)
+        query = construct_query(
+            task.prefix, None, config.f, config.m, config.g, probe=clients.probe
+        )
 
     dataflow_hits: list[tuple[str, float]] = []
     with _Stage("dataflow", timings):
@@ -253,7 +222,7 @@ def complete(
     retrieval_list = merge_paths(query, dataflow_hits, sparse_hits, dense_hits, j)
 
     with _Stage("rerank", timings):
-        outcome = rerank(retrieval_list, index.kb, clients.picker, u=u, w=w)
+        outcome = rerank(retrieval_list, index.kb, clients.picker, config.u, config.w)
 
     with _Stage("prompt_assembly", timings):
         snippets = [

@@ -13,10 +13,6 @@ from typing import Protocol
 
 from .errors import EmptyFile, ProbeUnavailable
 
-DEFAULT_CHUNK_LINES = 3  # f
-DEFAULT_PROBE_STEPS = 8  # m: not pinned upstream; small keeps probing cheap
-DEFAULT_SELECTED_CHUNKS = 1  # g
-
 
 class ProbeClient(Protocol):
     """Greedy scorer: generates m tokens at temperature 0 and returns the
@@ -55,7 +51,7 @@ def _split_lines(file_text: str) -> list[str]:
 
 
 def chunk_file(
-    file_text: str, f: int = DEFAULT_CHUNK_LINES, cursor_line: int | None = None
+    file_text: str, f: int, cursor_line: int | None = None
 ) -> tuple[list[Chunk], int]:
     """Partition the file into chunks of f lines (last may be shorter).
 
@@ -103,7 +99,7 @@ def score_chunks(
     chunks: list[Chunk],
     target_index: int,
     probe: ProbeClient,
-    m: int = DEFAULT_PROBE_STEPS,
+    m: int,
     target_text: str | None = None,
 ) -> list[ChunkScore]:
     """One confidence score per non-target chunk, in chunk order."""
@@ -134,10 +130,10 @@ def select_top_chunks(scores: list[ChunkScore], g: int) -> list[int]:
 
 def construct_query(
     file_text: str,
-    cursor_line: int | None = None,
-    f: int = DEFAULT_CHUNK_LINES,
-    m: int = DEFAULT_PROBE_STEPS,
-    g: int = DEFAULT_SELECTED_CHUNKS,
+    cursor_line: int | None,
+    f: int,
+    m: int,
+    g: int,
     probe: ProbeClient | None = None,
 ) -> RetrievalQuery:
     """Build the retrieval query for the unfinished file.

@@ -20,8 +20,6 @@ from .errors import InvalidPickReply, PickerUnavailable
 from .kb import CodeKnowledgeBase
 from .retrieve import RetrievalList
 
-DEFAULT_KEEP = 10  # u
-DEFAULT_WINDOW = 3  # w
 SNIPPET_CHAR_BUDGET = 1200
 TRUNCATION_MARKER = "\n# ... truncated ..."
 
@@ -200,8 +198,8 @@ def heap_rerank(
     texts: Sequence[str],
     query_text: str,
     picker: PickerClient,
-    u: int = DEFAULT_KEEP,
-    w: int = DEFAULT_WINDOW,
+    u: int,
+    w: int,
 ) -> RerankOutcome:
     """Extract the top-u items in preference order via the tournament.
 
@@ -250,8 +248,8 @@ def rerank(
     retrieval_list: RetrievalList,
     kb: CodeKnowledgeBase,
     picker: PickerClient,
-    u: int = DEFAULT_KEEP,
-    w: int = DEFAULT_WINDOW,
+    u: int,
+    w: int,
 ) -> RerankOutcome:
     """Rerank a retrieval list by resolving candidate texts from the KB."""
     if not retrieval_list.candidates:

@@ -17,6 +17,7 @@ from contextlib import contextmanager
 import pytest
 
 from coderag.clients import EchoGenerator, OverlapPicker, StubEmbedder, StubProbe
+from coderag.config import RunConfig
 from coderag.dense import build_dense_index, dense_retrieve
 from coderag.distill import build_distillation_data
 from coderag.evaluation import edit_similarity, levenshtein
@@ -272,6 +273,6 @@ def test_ablation_plumbing(mini_repo):
         },
     }
     for paths, expected in variants.items():
-        result = complete(task, index, clients, paths=paths)
+        result = complete(task, index, clients, RunConfig(paths=paths))
         got = {c.path for c in result.retrieval_list.candidates}
         assert got == expected, paths

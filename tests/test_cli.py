@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -11,6 +12,8 @@ import pytest
 from coderag.cli import main
 from coderag.config import RunConfig, load_config, make_clients
 from coderag.clients import EchoGenerator, OverlapPicker, StubEmbedder, StubProbe
+from coderag.evaluation import task_from_record
+from coderag.pipeline import RepoIndex, complete
 
 from .conftest import MINI_PREFIX, MINI_REPO_FILES, write_repo
 
@@ -164,6 +167,17 @@ def test_complete_truncated_index_asks_for_reindex(indexed_mini, tmp_path, capsy
     assert str(idx / name) in err and "re-run `coderag index`" in err
 
 
+@pytest.mark.parametrize("name", ["kb.jsonl", "manifest.json"])
+def test_complete_damaged_kb_asks_for_reindex(indexed_mini, tmp_path, capsys, name):
+    repo, idx = indexed_mini
+    (idx / name).write_bytes((idx / name).read_bytes()[:30])
+    task = write_task(tmp_path / "task.json", repo)
+    assert run_cli("complete", "--task", str(task), "--kb-dir", str(idx)) == 2
+    err = capsys.readouterr().err
+    assert str(idx / name) in err and "re-run `coderag index`" in err
+    assert "bad input" not in err
+
+
 def test_complete_embed_dim_mismatch_names_both_dims(indexed_mini, tmp_path, capsys):
     repo, idx = indexed_mini  # indexed with the default --embed-dim 64
     task = write_task(tmp_path / "task.json", repo)
@@ -182,6 +196,28 @@ def test_complete_dataflow_dot(indexed_mini, tmp_path):
         "complete", "--task", str(task), "--kb-dir", str(idx), "--dataflow-dot", str(dot)
     ) == 0
     assert dot.read_text().startswith("digraph dataflow {")
+
+
+def test_cli_and_library_share_one_config(indexed_mini, tmp_path, capsys):
+    repo, idx = indexed_mini
+    task_path = write_task(tmp_path / "task.json", repo)
+    dump = tmp_path / "dump"
+    assert run_cli(
+        "complete", "--task", str(task_path), "--kb-dir", str(idx),
+        "--j", "4", "--u", "8", "--paths", "sparse", "--dump-dir", str(dump),
+    ) == 0
+    printed = capsys.readouterr().out
+    (artifact_path,) = dump.glob("*.json")
+    artifact = json.loads(artifact_path.read_text())
+
+    cfg = RunConfig(j=4, u=8, paths=("sparse",))
+    task = task_from_record(json.loads(task_path.read_text()))
+    result = complete(task, RepoIndex.load(idx), make_clients(cfg), cfg)
+    assert [c["id"] for c in artifact["retrieval_list"]] == result.retrieval_list.item_ids()
+    assert artifact["prompt"] == result.prompt
+    assert artifact["generated"] == result.generated
+    assert printed == result.generated + "\n"
+    assert artifact["config"] == cfg.to_dict()
 
 
 def test_evaluate_writes_report(indexed_mini, tmp_path, capsys):
@@ -285,6 +321,13 @@ def test_help_shows_defaults(capsys):
     assert "default: 15" in out  # j
     assert "default: 48" in out  # max_new_tokens
     assert "default: 2048" in out  # max_input_tokens
+
+
+def test_help_has_a_flag_for_every_config_field(capsys):
+    assert main(["complete", "--help"]) == 0
+    out = capsys.readouterr().out
+    for f in dataclasses.fields(RunConfig):
+        assert "--" + f.name.replace("_", "-") + " " in out, f.name
 
 
 def test_usage_error_exit_code():

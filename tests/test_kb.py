@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import ast
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coderag.errors import EmptyRepository, ParseError
+from coderag.errors import EmptyRepository, IndexFormatError, ParseError
 from coderag.kb import (
     KB_FILE_NAME,
     MANIFEST_FILE_NAME,
@@ -117,6 +118,69 @@ def test_round_trip_equality_and_bytes(repo10, tmp_path):
     save_knowledge_base(loaded, out2)
     for name in (KB_FILE_NAME, MANIFEST_FILE_NAME):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _edit_records(path, edit):
+    """Rewrite a JSON-lines file after ``edit`` mutates its parsed records."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    edit(records)
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+KB_DAMAGES = {
+    "first 30 bytes": lambda p: p.write_bytes(p.read_bytes()[:30]),
+    "record without id": lambda p: _edit_records(p, lambda recs: recs[1].pop("id")),
+    "unknown kind": lambda p: _edit_records(
+        p, lambda recs: recs[0].update(kind="Lambda")
+    ),
+    "record not an object": lambda p: p.write_text("[1, 2]\n" + p.read_text()),
+    "bad utf-8": lambda p: p.write_bytes(b"\xff" + p.read_bytes()),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(KB_DAMAGES))
+def test_damaged_kb_jsonl_asks_for_reindex(repo10, tmp_path, damage):
+    save_knowledge_base(build_knowledge_base(repo10), tmp_path)
+    path = tmp_path / KB_FILE_NAME
+    KB_DAMAGES[damage](path)
+    with pytest.raises(IndexFormatError) as exc_info:
+        load_knowledge_base(tmp_path)
+    assert exc_info.value.path == path
+    assert str(path) in str(exc_info.value)
+    assert "re-run `coderag index`" in str(exc_info.value)
+
+
+def test_damaged_kb_jsonl_names_the_line(repo10, tmp_path):
+    save_knowledge_base(build_knowledge_base(repo10), tmp_path)
+    _edit_records(tmp_path / KB_FILE_NAME, lambda recs: recs[2].pop("text"))
+    with pytest.raises(IndexFormatError, match="line 3 .*'text'"):
+        load_knowledge_base(tmp_path)
+
+
+MANIFEST_DAMAGES = {
+    "first 40 bytes": lambda p: p.write_bytes(p.read_bytes()[:40]),
+    "no files key": lambda p: p.write_text(json.dumps({"repo_root": "r"})),
+    "not an object": lambda p: p.write_text("[]"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(MANIFEST_DAMAGES))
+def test_damaged_manifest_asks_for_reindex(repo10, tmp_path, damage):
+    save_knowledge_base(build_knowledge_base(repo10), tmp_path)
+    path = tmp_path / MANIFEST_FILE_NAME
+    MANIFEST_DAMAGES[damage](path)
+    with pytest.raises(IndexFormatError) as exc_info:
+        load_knowledge_base(tmp_path)
+    assert exc_info.value.path == path
+    assert "re-run `coderag index`" in str(exc_info.value)
+
+
+def test_kb_and_manifest_that_disagree_ask_for_reindex(repo10, tmp_path):
+    save_knowledge_base(build_knowledge_base(repo10), tmp_path)
+    _edit_records(tmp_path / KB_FILE_NAME, lambda recs: recs.append(recs[0]))
+    with pytest.raises(IndexFormatError, match="duplicate item ids") as exc_info:
+        load_knowledge_base(tmp_path)
+    assert exc_info.value.path == tmp_path
 
 
 def test_rebuild_unchanged_repo_is_byte_identical(repo10, tmp_path):

@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from coderag.clients import EchoGenerator, OverlapPicker, StubEmbedder, StubProbe
+from coderag.config import RunConfig
 from coderag.errors import BudgetImpossible, PipelineStageError
 from coderag.pipeline import (
     CompletionTask,
-    GenerationConfig,
     PipelineClients,
     RepoIndex,
     assemble_prompt,
@@ -153,7 +153,7 @@ def test_complete_deterministic_across_runs(mini_repo):
 
 def test_complete_retrieval_ids_exist_in_kb(mini_repo):
     index = RepoIndex.build(mini_repo, StubEmbedder())
-    result = complete(mini_task(mini_repo), index, stub_clients(), j=5, u=4)
+    result = complete(mini_task(mini_repo), index, stub_clients(), RunConfig(j=5, u=4))
     assert result.retrieval_list.candidates
     for c in result.retrieval_list.candidates:
         index.kb.get(c.item_id)  # raises KeyError if absent
@@ -164,9 +164,9 @@ def test_complete_rejects_unknown_path(mini_repo):
     index = RepoIndex.build(mini_repo, StubEmbedder())
     for paths in (("fuzzy",), ("Sparse",), ("sparse", "dense", "graph")):
         with pytest.raises(ValueError, match="unknown retrieval paths"):
-            complete(mini_task(mini_repo), index, stub_clients(), paths=paths)
+            complete(mini_task(mini_repo), index, stub_clients(), RunConfig(paths=paths))
     with pytest.raises(ValueError, match="j must be >= 1"):
-        complete(mini_task(mini_repo), index, stub_clients(), j=0)
+        complete(mini_task(mini_repo), index, stub_clients(), RunConfig(j=0))
 
 
 def test_complete_prefix_unparsable_past_cursor(mini_repo):
@@ -184,7 +184,7 @@ def test_complete_prefix_unparsable_past_cursor(mini_repo):
 
 def test_complete_paths_ablation(mini_repo):
     index = RepoIndex.build(mini_repo, StubEmbedder())
-    result = complete(mini_task(mini_repo), index, stub_clients(), paths=("sparse",))
+    result = complete(mini_task(mini_repo), index, stub_clients(), RunConfig(paths=("sparse",)))
     assert result.retrieval_list.candidates
     assert {c.path for c in result.retrieval_list.candidates} == {RetrievalPath.SPARSE}
 
@@ -198,7 +198,7 @@ def test_complete_zero_shot_on_empty_retrieval(mini_repo):
         prefix="zqx = zqy\nzqx",  # shares no vocabulary with the repo
         cursor_line=2,
     )
-    result = complete(task, index, stub_clients(), paths=("sparse",))
+    result = complete(task, index, stub_clients(), RunConfig(paths=("sparse",)))
     assert result.retrieval_list.candidates == []
     assert result.prompt == task.prefix
 
@@ -235,9 +235,9 @@ def test_artifact_dump_is_json_ready(mini_repo):
 
 def test_generation_config_validation():
     with pytest.raises(ValueError):
-        GenerationConfig(max_new_tokens=0)
+        RunConfig(max_new_tokens=0)
     with pytest.raises(ValueError):
-        GenerationConfig(temperature=-1.0)
+        RunConfig(temperature=-1.0)
 
 
 def test_completion_task_requires_prefix():

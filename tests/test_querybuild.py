@@ -138,7 +138,7 @@ def test_probe_failure_is_wrapped():
 
 
 def test_single_chunk_query_is_target_only():
-    query = construct_query(lines(2), cursor_line=2, f=3, g=1, probe=StubProbe())
+    query = construct_query(lines(2), cursor_line=2, f=3, m=8, g=1, probe=StubProbe())
     assert query.selected_chunks == ()
     assert query.combined_text == query.target_chunk == lines(2)
 
@@ -147,28 +147,28 @@ def test_fixture_selects_overlapping_chunk():
     chunks, target = chunk_file(FIXTURE, f=2, cursor_line=6)
     target_text = target_chunk_text(chunks, target, 6)
     query = construct_query(
-        FIXTURE, cursor_line=6, f=2, g=1, probe=StubProbe(target_text=target_text)
+        FIXTURE, cursor_line=6, f=2, m=8, g=1, probe=StubProbe(target_text=target_text)
     )
     assert query.selected_chunks == (chunks[0].text,)
     assert query.combined_text == chunks[0].text + "\n" + target_text
 
 
 def test_g_larger_than_available_selects_all_in_order():
-    query = construct_query(lines(9), cursor_line=9, f=3, g=10, probe=StubProbe())
+    query = construct_query(lines(9), cursor_line=9, f=3, m=8, g=10, probe=StubProbe())
     chunks, _ = chunk_file(lines(9), f=3)
     assert query.selected_chunks == (chunks[0].text, chunks[1].text)
 
 
 def test_g_zero_makes_no_probe_calls():
     probe = MapProbe({})
-    query = construct_query(lines(9), cursor_line=9, f=3, g=0, probe=probe)
+    query = construct_query(lines(9), cursor_line=9, f=3, m=8, g=0, probe=probe)
     assert probe.calls == 0
     assert query.selected_chunks == ()
 
 
 def test_determinism():
-    a = construct_query(FIXTURE, 6, f=2, g=1, probe=StubProbe())
-    b = construct_query(FIXTURE, 6, f=2, g=1, probe=StubProbe())
+    a = construct_query(FIXTURE, 6, f=2, m=8, g=1, probe=StubProbe())
+    b = construct_query(FIXTURE, 6, f=2, m=8, g=1, probe=StubProbe())
     assert a == b
 
 

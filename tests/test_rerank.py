@@ -137,7 +137,7 @@ def test_n31_u10_w3_call_budget():
 
 def test_duplicate_items_rejected():
     with pytest.raises(ValueError):
-        heap_rerank(["a", "a"], ["x", "y"], "q", OrderPicker({}), u=1)
+        heap_rerank(["a", "a"], ["x", "y"], "q", OrderPicker({}), u=1, w=3)
 
 
 # --- robustness ---------------------------------------------------------------
@@ -252,5 +252,5 @@ def test_truncate_snippet_keeps_head():
 def test_rerank_empty_list():
     kb, rlist = _kb_and_list(["a"])
     rlist.candidates = []
-    outcome = rerank(rlist, kb, OrderPicker({}), u=3)
+    outcome = rerank(rlist, kb, OrderPicker({}), u=3, w=3)
     assert outcome.ordered_items == []

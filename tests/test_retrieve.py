@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from coderag.clients import EchoGenerator, OverlapPicker, StubEmbedder, StubProbe
+from coderag.config import RunConfig
 from coderag.pipeline import CompletionTask, PipelineClients, RepoIndex, complete
 from coderag.querybuild import RetrievalQuery
 from coderag.retrieve import RetrievalPath, merge_paths
@@ -68,6 +69,6 @@ def test_retrieve_all_is_deterministic(mini_repo):
     for _ in range(2):
         index = RepoIndex.build(mini_repo, StubEmbedder())
         clients = PipelineClients(StubProbe(), StubEmbedder(), OverlapPicker(), EchoGenerator())
-        lists.append(complete(task, index, clients, j=4).retrieval_list.candidates)
+        lists.append(complete(task, index, clients, RunConfig(j=4, u=8)).retrieval_list.candidates)
     assert lists[0]
     assert lists[0] == lists[1]

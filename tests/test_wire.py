@@ -9,13 +9,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from coderag.config import RunConfig
 from coderag.errors import (
     EmbedderUnavailable,
     InvalidPickReply,
     PickerUnavailable,
     ProbeUnavailable,
 )
-from coderag.pipeline import GenerationConfig
 from coderag.wire import (
     PROTOCOL_VERSION,
     WireEmbedderClient,
@@ -128,7 +128,7 @@ def test_picker_client_invalid_reply_raises(server):
 
 def test_generator_client(server):
     generator = WireGeneratorClient(server.endpoint)
-    out = generator.generate("prompt", GenerationConfig(max_new_tokens=48, temperature=0.0))
+    out = generator.generate("prompt", RunConfig(max_new_tokens=48, temperature=0.0))
     assert out == "gen<48@0.0>"
     assert server.requests[-1]["type"] == "generate"
 
