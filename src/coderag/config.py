@@ -75,10 +75,31 @@ class RunConfig:
         return out
 
 
+def _check_value_type(name: str, value: object, default: object) -> None:
+    """A config-file value must have its default's JSON type."""
+    if name == "paths":
+        expected = "a list of strings"
+        ok = isinstance(value, list) and all(isinstance(p, str) for p in value)
+    elif isinstance(default, float):
+        expected = "a number"
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        expected = "an integer" if isinstance(default, int) else "a string"
+        ok = type(value) is type(default)
+    if not ok:
+        raise ValueError(f"config key {name!r} must be {expected}, got {value!r}")
+
+
 def load_config(path: str | Path) -> RunConfig:
-    """Read a versioned JSON config file; missing keys take defaults."""
+    """Read a versioned JSON config file; missing keys take defaults.
+
+    A top level that is not an object, an unknown key or a value of the
+    wrong type raises ``ValueError``.
+    """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"config file must hold a JSON object, got {type(raw).__name__}")
     version = raw.pop("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ValueError(f"unsupported config version {version}")
@@ -86,9 +107,12 @@ def load_config(path: str | Path) -> RunConfig:
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    defaults = RunConfig()
+    for name, value in raw.items():
+        _check_value_type(name, value, getattr(defaults, name))
     if "paths" in raw:
         raw["paths"] = tuple(raw["paths"])
-    return replace(RunConfig(), **raw)
+    return replace(defaults, **raw)
 
 
 def _endpoint(configured: str) -> str:

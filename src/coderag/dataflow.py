@@ -9,17 +9,20 @@ function/class nesting level).
 Retrieval walks backward from the names used on the cursor line's
 statement, collects bound names (constructed class names, imported
 symbols, callees) and returns at most one matching knowledge item —
-the merge arithmetic reserves exactly one dataflow slot.
+the merge arithmetic reserves exactly one dataflow slot.  Each name is
+looked up in the knowledge base's name maps, so a query costs the same
+whatever the size of the knowledge base.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import GraphUnavailable
-from .kb import CodeKnowledgeBase, CodeKnowledgeItem, ItemKind
+from .kb import CodeKnowledgeBase, name_match_key
 from .lexing import KEYWORDS
 
 WALK_DEPTH = 4
@@ -30,13 +33,6 @@ MODULE_SCOPE = ""
 _CHAIN_RE = re.compile(r"[A-Za-z_]\w*(?:\s*\.\s*[A-Za-z_]\w*)*")
 _ASSIGN_SPLIT_RE = re.compile(r"(?<![=!<>])=(?!=)")
 _CALL_HEAD_RE = re.compile(r"^\s*[A-Za-z_]\w*(?:\s*\.\s*[A-Za-z_]\w*)*\s*\(")
-
-_KIND_PRIORITY = {
-    ItemKind.CLASS_FUNCTION: 0,
-    ItemKind.FUNCTION: 1,
-    ItemKind.CLASS_VARIABLE: 2,
-    ItemKind.GLOBAL_VARIABLE: 3,
-}
 
 
 @dataclass(frozen=True)
@@ -61,8 +57,8 @@ class _Binding:
     aliases: tuple[str, ...] = ()  # bare-name RHS references
 
     @property
-    def node_kind(self) -> str:
-        return "import-binding" if self.is_import else "definition"
+    def node(self) -> FlowNode:
+        return FlowNode(self.name, self.line, "import-binding" if self.is_import else "definition")
 
 
 @dataclass(frozen=True)
@@ -73,14 +69,37 @@ class _Use:
     scope: str
     chain: tuple[str, ...] = ()  # attribute names accessed on it
 
+    @property
+    def node(self) -> FlowNode:
+        return FlowNode(self.name, self.line, "attribute-use" if self.chain else "use")
+
 
 @dataclass
 class DataflowGraph:
-    nodes: list[FlowNode]
-    edges: list[tuple[FlowNode, FlowNode]]  # definition -> use
+    """Bindings and uses in source order.  Retrieval reads only
+    ``by_name`` and ``final_uses``; ``nodes`` and ``edges`` serve
+    :func:`to_dot` and are derived on first read."""
+
+    bindings: list[_Binding]
+    uses: list[_Use]
+    by_name: dict[str, list[_Binding]]
+    final_uses: list[_Use]
     last_line_uses: set[str]
-    bindings: dict[str, list[_Binding]] = field(default_factory=dict)
-    final_uses: list[_Use] = field(default_factory=list)
+
+    @cached_property
+    def nodes(self) -> list[FlowNode]:
+        """Binding nodes then use nodes, each distinct node once."""
+        return list(dict.fromkeys([b.node for b in self.bindings] + [u.node for u in self.uses]))
+
+    @cached_property
+    def edges(self) -> list[tuple[FlowNode, FlowNode]]:
+        """Reaching definition -> use, in use order."""
+        out: list[tuple[FlowNode, FlowNode]] = []
+        for use in self.uses:
+            src = _reaching(self.by_name, use.name, use.stmt_idx, use.scope)
+            if src is not None:
+                out.append((src.node, use.node))
+        return out
 
 
 class _PrefixVisitor:
@@ -281,13 +300,22 @@ class _PrefixVisitor:
 
 
 def _longest_parsable(lines: list[str]) -> tuple[ast.Module, int]:
-    """Largest leading block of lines that parses; (tree, parsed line count)."""
-    for k in range(len(lines), -1, -1):
+    """Largest leading block of lines that parses; (tree, parsed line count).
+
+    The answer is that of dropping one trailing line per failed attempt,
+    found with fewer attempts: a bracket or triple-quoted string opened on
+    line L and still open where parsing stopped makes every block of L or
+    more lines fail as well, so the search resumes below line L.
+    """
+    k = len(lines)
+    while True:  # k == 0 parses the empty module
         try:
             return ast.parse("\n".join(lines[:k])), k
-        except SyntaxError:
-            continue
-    return ast.parse(""), 0
+        except SyntaxError as exc:
+            still_open = exc.msg.endswith("was never closed") or exc.msg.startswith(
+                "unterminated triple-quoted"
+            )
+            k = min(k, exc.lineno) - 1 if still_open and exc.lineno else k - 1
 
 
 def _strip_noncode(line: str) -> str:
@@ -407,32 +435,12 @@ def build_dataflow_graph(file_text_up_to_cursor: str) -> DataflowGraph:
         last_idx = max((u.stmt_idx for u in uses), default=-1)
         final_uses = [u for u in uses if u.stmt_idx == last_idx]
 
-    nodes: list[FlowNode] = []
-    seen_nodes: set[FlowNode] = set()
-
-    def add_node(node: FlowNode) -> FlowNode:
-        if node not in seen_nodes:
-            seen_nodes.add(node)
-            nodes.append(node)
-        return node
-
-    for b in bindings:
-        add_node(FlowNode(b.name, b.line, b.node_kind))
-    edges: list[tuple[FlowNode, FlowNode]] = []
-    for use in uses:
-        use_node = add_node(
-            FlowNode(use.name, use.line, "attribute-use" if use.chain else "use")
-        )
-        src = _reaching(by_name, use.name, use.stmt_idx, use.scope)
-        if src is not None:
-            edges.append((FlowNode(src.name, src.line, src.node_kind), use_node))
-
     return DataflowGraph(
-        nodes=nodes,
-        edges=edges,
-        last_line_uses={u.name for u in final_uses},
-        bindings=by_name,
+        bindings=bindings,
+        uses=uses,
+        by_name=by_name,
         final_uses=final_uses,
+        last_line_uses={u.name for u in final_uses},
     )
 
 
@@ -472,7 +480,7 @@ class _Collector:
         if depth <= 0 or (name, stmt_idx) in self._visited:
             return
         self._visited.add((name, stmt_idx))
-        b = _reaching(self.graph.bindings, name, stmt_idx, scope)
+        b = _reaching(self.graph.by_name, name, stmt_idx, scope)
         if b is None:
             return
         if b.is_import:
@@ -494,7 +502,7 @@ class _Collector:
         references to an imported or locally defined class object."""
         if depth <= 0:
             return ""
-        b = _reaching(self.graph.bindings, name, stmt_idx, scope)
+        b = _reaching(self.graph.by_name, name, stmt_idx, scope)
         if b is None:
             return ""
         if b.is_import:
@@ -510,18 +518,13 @@ class _Collector:
         return ""
 
 
-def dataflow_retrieve(
-    graph: DataflowGraph, kb: CodeKnowledgeBase, depth: int = WALK_DEPTH
-) -> list[tuple[str, float]]:
-    """At most one knowledge item reachable from the cursor line's uses.
-
-    Match priority: ClassFunction over Function over ClassVariable over
-    GlobalVariable, then shorter qualified name, then item id.
-    """
+def dependency_names(graph: DataflowGraph, depth: int = WALK_DEPTH) -> list[str]:
+    """Names the cursor line's uses depend on, in collection order: plain
+    names and ``Class.member`` / ``module.symbol`` pairs."""
     collector = _Collector(graph, depth)
     for use in graph.final_uses:
         if use.chain:
-            head = _reaching(graph.bindings, use.name, use.stmt_idx, use.scope)
+            head = _reaching(graph.by_name, use.name, use.stmt_idx, use.scope)
             if head is not None and head.is_import and head.is_module:
                 # A module attribute names a top-level symbol of that module.
                 collector.collect(use.chain[0])
@@ -532,24 +535,26 @@ def dataflow_retrieve(
                     collector.collect(cls)
                     collector.collect(f"{cls}.{use.chain[0]}")
         collector.walk(use.name, use.stmt_idx, use.scope, depth)
+    return collector.collected
 
-    if not collector.collected:
+
+def dataflow_retrieve(
+    graph: DataflowGraph, kb: CodeKnowledgeBase, depth: int = WALK_DEPTH
+) -> list[tuple[str, float]]:
+    """At most one knowledge item reachable from the cursor line's uses.
+
+    A dotted name matches an item's qualified name; a plain name matches
+    its last segment.  Among all matches the one preferred by
+    :func:`coderag.kb.name_match_key` wins: ClassFunction over Function
+    over ClassVariable over GlobalVariable, then shorter qualified name,
+    then item id.
+    """
+    matches = [
+        item for item in map(kb.best_match, dependency_names(graph, depth)) if item is not None
+    ]
+    if not matches:
         return []
-    full = set(collector.collected)
-    plain = {name for name in full if "." not in name}
-
-    def matches(item: CodeKnowledgeItem) -> bool:
-        if item.qualified_name in full:
-            return True
-        return item.qualified_name.split(".")[-1] in plain
-
-    candidates = [item for item in kb.items if matches(item)]
-    if not candidates:
-        return []
-    candidates.sort(
-        key=lambda it: (_KIND_PRIORITY[it.kind], len(it.qualified_name), it.id)
-    )
-    return [(candidates[0].id, DATAFLOW_SCORE)]
+    return [(min(matches, key=name_match_key).id, DATAFLOW_SCORE)]
 
 
 def to_dot(graph: DataflowGraph) -> str:

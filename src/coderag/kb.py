@@ -17,11 +17,11 @@ import logging
 import os
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
 from .errors import EmptyRepository, IndexFormatError, ParseError
-from .lexing import unique_identifiers
 
 log = logging.getLogger(__name__)
 
@@ -54,7 +54,20 @@ class CodeKnowledgeItem:
     file_path: str
     line_span: tuple[int, int]
     text: str
-    identifiers: tuple[str, ...]
+
+
+# Preference among items that match one name (the dataflow path's pick).
+_KIND_PRIORITY = {
+    ItemKind.CLASS_FUNCTION: 0,
+    ItemKind.FUNCTION: 1,
+    ItemKind.CLASS_VARIABLE: 2,
+    ItemKind.GLOBAL_VARIABLE: 3,
+}
+
+
+def name_match_key(item: CodeKnowledgeItem) -> tuple[int, int, str]:
+    """Smaller is preferred: kind, then shorter qualified name, then id."""
+    return (_KIND_PRIORITY[item.kind], len(item.qualified_name), item.id)
 
 
 @dataclass(frozen=True)
@@ -81,6 +94,22 @@ class CodeKnowledgeBase:
 
     def get(self, item_id: str) -> CodeKnowledgeItem:
         return self._by_id[item_id]
+
+    def best_match(self, name: str) -> CodeKnowledgeItem | None:
+        """Preferred item (:func:`name_match_key`) whose qualified name
+        equals a dotted ``name``, or whose last segment equals a plain one."""
+        by_qualified, by_last_segment = self._name_maps
+        return (by_qualified if "." in name else by_last_segment).get(name)
+
+    @cached_property
+    def _name_maps(self) -> tuple[dict[str, CodeKnowledgeItem], dict[str, CodeKnowledgeItem]]:
+        """Built on the first lookup, so loading an index does not pay for it."""
+        by_qualified: dict[str, CodeKnowledgeItem] = {}
+        by_last_segment: dict[str, CodeKnowledgeItem] = {}
+        for item in sorted(self.items, key=name_match_key):
+            by_qualified.setdefault(item.qualified_name, item)
+            by_last_segment.setdefault(item.qualified_name.rpartition(".")[2], item)
+        return by_qualified, by_last_segment
 
     def __len__(self) -> int:
         return len(self.items)
@@ -135,15 +164,13 @@ def _make_item(
     lines: list[str],
     span: tuple[int, int],
 ) -> CodeKnowledgeItem:
-    text = _slice_lines(lines, span[0], span[1])
     return CodeKnowledgeItem(
         id=item_id(file_path, span, kind),
         kind=kind,
         qualified_name=qualified_name,
         file_path=file_path,
         line_span=span,
-        text=text,
-        identifiers=tuple(unique_identifiers(text)),
+        text=_slice_lines(lines, span[0], span[1]),
     )
 
 
@@ -259,7 +286,6 @@ def _item_record(item: CodeKnowledgeItem) -> dict:
         "file_path": item.file_path,
         "line_span": list(item.line_span),
         "text": item.text,
-        "identifiers": list(item.identifiers),
     }
 
 
@@ -317,7 +343,7 @@ def load_knowledge_base(kb_dir: str | Path) -> CodeKnowledgeBase:
         kb_dir / KB_FILE_NAME, lambda: f" while reading line {len(items) + 1}"
     ) as fh:
         for line in fh:
-            rec = json.loads(line)
+            rec = json.loads(line)  # other keys, e.g. an old `identifiers`, are ignored
             items.append(
                 CodeKnowledgeItem(
                     id=rec["id"],
@@ -326,7 +352,6 @@ def load_knowledge_base(kb_dir: str | Path) -> CodeKnowledgeBase:
                     file_path=rec["file_path"],
                     line_span=(rec["line_span"][0], rec["line_span"][1]),
                     text=rec["text"],
-                    identifiers=tuple(rec["identifiers"]),
                 )
             )
     with _index_file(kb_dir / MANIFEST_FILE_NAME) as fh:

@@ -109,14 +109,3 @@ def iter_identifiers(code: str) -> list[str]:
 
 def identifier_set(code: str) -> frozenset[str]:
     return frozenset(iter_identifiers(code))
-
-
-def unique_identifiers(code: str) -> list[str]:
-    """Identifiers in first-appearance order with duplicates removed."""
-    seen: set[str] = set()
-    out: list[str] = []
-    for name in iter_identifiers(code):
-        if name not in seen:
-            seen.add(name)
-            out.append(name)
-    return out

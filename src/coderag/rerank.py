@@ -40,7 +40,8 @@ class PickerClient(Protocol):
     def pick(self, query_text: str, window: Sequence[str]) -> int: ...
 
 
-@dataclass(frozen=True)
+# Slotted: about 50 per task, and a caller may keep every task's result.
+@dataclass(frozen=True, slots=True)
 class PickEvent:
     window_ids: tuple[str, ...]
     chosen_id: str

@@ -23,7 +23,8 @@ class RetrievalPath(str, Enum):
     DATAFLOW = "Dataflow"
 
 
-@dataclass(frozen=True)
+# Slotted: up to 2j+1 per task, and a caller may keep every task's result.
+@dataclass(frozen=True, slots=True)
 class RetrievalCandidate:
     item_id: str
     path: RetrievalPath

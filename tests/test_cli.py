@@ -350,9 +350,11 @@ def test_config_rejects_u_not_less_than_2j_plus_1():
 
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"version": 1, "j": 4, "u": 2, "paths": ["sparse"]}))
+    path.write_text(
+        json.dumps({"version": 1, "j": 4, "u": 2, "paths": ["sparse"], "temperature": 1})
+    )
     cfg = load_config(path)
-    assert cfg.j == 4 and cfg.u == 2 and cfg.paths == ("sparse",)
+    assert cfg.j == 4 and cfg.u == 2 and cfg.paths == ("sparse",) and cfg.temperature == 1
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
@@ -360,6 +362,42 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps({"version": 1, "bogus": True}))
     with pytest.raises(ValueError):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [{"j": True}, {"j": 4.0}, {"temperature": "0"}, {"paths": ["sparse", 1]},
+     {"probe_endpoint": 5}],
+)
+def test_config_file_rejects_wrong_value_types(tmp_path, raw):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=f"config key '{next(iter(raw))}' must be"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "content,named",
+    [
+        ([1], "JSON object"),
+        ({"j": "4"}, "'j'"),
+        ({"paths": 5}, "'paths'"),
+    ],
+    ids=["top level a list", "j a string", "paths a number"],
+)
+def test_complete_wrong_shaped_config_is_bad_input(
+    indexed_mini, tmp_path, capsys, content, named
+):
+    repo, idx = indexed_mini
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(content))
+    task = write_task(tmp_path / "task.json", repo)
+    code = run_cli(
+        "complete", "--task", str(task), "--kb-dir", str(idx), "--config", str(config)
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad input: ") and named in err
 
 
 def test_make_clients_stub_lineup():

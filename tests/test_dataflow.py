@@ -9,27 +9,40 @@ priority with shorter-name and item-id tiebreaks.
 
 from __future__ import annotations
 
-import pytest
+import ast
+import functools
+import json
+import math
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import coderag
 from coderag.dataflow import (
     DATAFLOW_SCORE,
+    _longest_parsable,
     build_dataflow_graph,
     dataflow_retrieve,
     to_dot,
 )
 from coderag.kb import CodeKnowledgeBase, CodeKnowledgeItem, ItemKind
 
+from .dataflow_oracle import linear_longest_parsable, scan_retrieve
 
-def make_kb(entries: list[tuple[str, str]]) -> CodeKnowledgeBase:
+
+def make_kb(
+    entries: list[tuple[str, str]], ids: list[str] | None = None
+) -> CodeKnowledgeBase:
     items = [
         CodeKnowledgeItem(
-            id=f"kb{i:03d}",
+            id=ids[i] if ids else f"kb{i:03d}",
             kind=ItemKind(kind),
             qualified_name=name,
             file_path="fix.py",
             line_span=(i + 1, i + 1),
             text=f"# {name}",
-            identifiers=(),
         )
         for i, (kind, name) in enumerate(entries)
     ]
@@ -140,6 +153,7 @@ ORACLE_TABLE = [
 def test_retrieval_oracle_table(prefix, expected):
     graph = build_dataflow_graph(prefix)
     hits = dataflow_retrieve(graph, KB)
+    assert hits == scan_retrieve(graph, KB)
     assert len(hits) <= 1
     if expected is None:
         assert hits == []
@@ -152,3 +166,177 @@ def test_retrieval_oracle_table(prefix, expected):
 def test_returns_at_most_one_item_everywhere():
     for prefix, _ in ORACLE_TABLE:
         assert len(dataflow_retrieve(build_dataflow_graph(prefix), KB)) <= 1
+
+
+# --- name lookup against the full scan ----------------------------------------
+
+
+def test_name_maps_are_built_on_the_first_query():
+    kb = make_kb([("ClassFunction", "Sensor.read")])
+    assert "_name_maps" not in vars(kb)
+    assert dataflow_retrieve(build_dataflow_graph("s = Sensor()\ns.read"), kb)
+    assert "_name_maps" in vars(kb)
+
+
+_CLASSES = ("Sensor", "Motor", "Kit")
+_MEMBERS = ("read", "spin", "unit", "helper")
+_MODULES = ("util", "pkg")
+_VARS = ("s", "t")
+
+
+@st.composite
+def kb_and_prefix(draw):
+    """A small KB whose names collide on purpose, and a prefix over them."""
+    kinds = st.sampled_from([kind.value for kind in ItemKind])
+    dotted = st.builds(
+        "{}.{}".format, st.sampled_from(_CLASSES + _MODULES), st.sampled_from(_MEMBERS)
+    )
+    name = st.one_of(st.sampled_from(_MEMBERS + _CLASSES), dotted)
+    entries = draw(st.lists(st.tuples(kinds, name), max_size=10))
+    # Always: every kind, a duplicated qualified name, and a plain name
+    # that is also the last segment of a dotted one.
+    entries += [(kind.value, draw(name)) for kind in ItemKind]
+    entries += [(draw(kinds), "Sensor.read"), (draw(kinds), "Sensor.read"), (draw(kinds), "read")]
+    ids = draw(
+        st.lists(
+            st.text("0123456789abcdef", min_size=4, max_size=4),
+            min_size=len(entries),
+            max_size=len(entries),
+            unique=True,
+        )
+    )
+    kb = make_kb(draw(st.permutations(entries)), ids)
+
+    def few(pool: tuple[str, ...]):
+        # Few names per prefix, so later lines tend to use earlier bindings.
+        return st.sampled_from(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2)))
+
+    var = few(_VARS)
+    sym = few(_MEMBERS + _CLASSES)
+    cls, mod, member = few(_CLASSES), few(_MODULES), few(_MEMBERS)
+    statement = st.one_of(
+        st.builds("from {} import {}".format, mod, sym),
+        st.builds("from {} import {} as {}".format, mod, sym, var),
+        st.builds("import {}".format, mod),
+        st.builds("{} = {}()".format, var, cls),
+        st.builds("{} = {}".format, var, var),
+        st.builds("{} = {}({})".format, var, sym, var),
+        st.builds("def {}():\n    pass".format, sym),
+    )
+    cursor = st.one_of(
+        st.builds("{}.{}".format, var, member),
+        st.builds("x = {}(".format, sym),
+        st.builds("{}.{}(".format, mod, sym),
+        st.builds("if {} > {}".format, var, sym),
+        st.builds("{}.{}.{}".format, var, member, member),
+    )
+    binding = st.one_of(
+        st.builds("from {} import {}".format, mod, sym),
+        st.builds("{} = {}()".format, var, cls),
+    )
+    lines = [draw(binding)] + draw(st.lists(statement, max_size=4)) + [draw(cursor)]
+    return kb, "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kb_and_prefix())
+def test_lookup_matches_scan_on_random_kbs(case):
+    kb, prefix = case
+    graph = build_dataflow_graph(prefix)
+    assert dataflow_retrieve(graph, kb) == scan_retrieve(graph, kb)
+
+
+# --- nodes and edges on demand -------------------------------------------------
+
+# (prefix, to_dot output) pairs recorded from the eager graph builder: every
+# ORACLE_TABLE prefix plus three with imports, nested scopes and repeats.
+RECORDED_DOT = json.loads((Path(__file__).parent / "dataflow_dot.json").read_text("utf-8"))
+
+
+def test_recorded_dot_covers_oracle_table():
+    assert {p for p, _ in ORACLE_TABLE} <= {p for p, _ in RECORDED_DOT}
+
+
+@pytest.mark.parametrize("prefix,dot", RECORDED_DOT, ids=range(len(RECORDED_DOT)))
+def test_dot_is_byte_identical_to_recorded(prefix, dot):
+    assert to_dot(build_dataflow_graph(prefix)) == dot
+
+
+# --- bounded prefix parse -----------------------------------------------------
+
+
+@pytest.fixture
+def cached_parse(monkeypatch):
+    """``ast.parse`` memoised on the source text, so the linear oracle and
+    the search under test share parses of the same block."""
+    real_parse = ast.parse
+
+    @functools.lru_cache(maxsize=256)
+    def outcome(text: str):
+        try:
+            return real_parse(text), None
+        except SyntaxError as exc:
+            return None, (type(exc), exc.args)
+
+    def parse(text: str, *args, **kwargs) -> ast.Module:
+        if args or kwargs:  # pytest's own calls, e.g. while reporting a failure
+            return real_parse(text, *args, **kwargs)
+        tree, error = outcome(text)
+        if error:
+            raise error[0](*error[1])
+        return tree
+
+    monkeypatch.setattr(ast, "parse", parse)
+
+
+def _agree_on_every_prefix(lines: list[str]) -> None:
+    for n in range(len(lines) + 1):
+        assert _longest_parsable(lines[:n])[1] == linear_longest_parsable(lines[:n])[1], n
+
+
+SRC_FILES = sorted(Path(coderag.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: p.name)
+def test_parse_search_matches_linear_on_every_src_prefix(path, cached_parse):
+    _agree_on_every_prefix(path.read_text("utf-8").split("\n"))
+
+
+_BODY = ["y = 1", "def g(a):", "    return a + 1", "class C:", "    z = [", "        2]"] * 20
+
+HOSTILE = {
+    "unclosed bracket early": ["x = foo("] + _BODY,
+    "unclosed bracket late": _BODY + ["x = foo("] + _BODY[:6],
+    "nested brackets never closed": _BODY + ["a = [", " (1,", "  {2:"] + _BODY[:6],
+    "bracket closed after a bad line": ["x = foo(", "  a b", ")"] + _BODY,
+    "unterminated triple quote early": ['s = """doc'] + _BODY,
+    "unterminated triple quote late": _BODY + ["s = f'''x{y}"] + _BODY[:6],
+    "triple quote closed later": ['s = """', "text (", '"""'] + _BODY + ["x = ("],
+    "carriage return inside a line": ["a = 1\rb = (", "c = 2"] + _BODY[:6],
+    "bad statement early": ["x = = 1"] + _BODY[:30],
+    "block header without body": _BODY + ["if x:"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_parse_search_matches_linear_on_hostile_prefixes(name, cached_parse):
+    _agree_on_every_prefix(HOSTILE[name])
+
+
+@pytest.mark.parametrize("position", ["first", "last"])
+def test_unclosed_bracket_prefix_parses_logarithmically(position, monkeypatch):
+    real_parse, calls = ast.parse, []
+
+    def counting_parse(text: str, *args, **kwargs) -> ast.Module:
+        calls.append(1)
+        return real_parse(text, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    n = 3000
+    lines = ["y = 1"] * (n - 1)
+    lines.insert(0 if position == "first" else n - 1, "x = foo(")
+    _, parsed = _longest_parsable(lines)
+    assert len(calls) <= 2 * math.log2(n) + 4
+    # Every block that holds the open bracket fails, so the answer is the
+    # block just above it, as the one-line-at-a-time search would find.
+    assert parsed == lines.index("x = foo(")

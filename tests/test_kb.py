@@ -127,6 +127,16 @@ def _edit_records(path, edit):
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
 
 
+def test_kb_jsonl_with_identifiers_key_still_loads(repo10, tmp_path):
+    # Indexes written before `identifiers` was dropped carry the key.
+    kb = build_knowledge_base(repo10)
+    save_knowledge_base(kb, tmp_path)
+    path = tmp_path / KB_FILE_NAME
+    assert all("identifiers" not in json.loads(line) for line in path.read_text().splitlines())
+    _edit_records(path, lambda recs: [r.update(identifiers=["a", "b"]) for r in recs])
+    assert load_knowledge_base(tmp_path) == kb
+
+
 KB_DAMAGES = {
     "first 30 bytes": lambda p: p.write_bytes(p.read_bytes()[:30]),
     "record without id": lambda p: _edit_records(p, lambda recs: recs[1].pop("id")),

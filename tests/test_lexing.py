@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from coderag.lexing import identifier_set, iter_identifiers, subtokens, unique_identifiers
+from coderag.lexing import identifier_set, iter_identifiers, subtokens
 
 
 def test_subtokens_snake_and_camel():
@@ -38,8 +38,7 @@ def test_identifiers_triple_quoted():
     assert iter_identifiers('"""module doc with words"""\nname = 1') == ["name"]
 
 
-def test_unique_and_set_helpers():
+def test_identifier_set_helper():
     code = "a = a + b"
     assert iter_identifiers(code) == ["a", "a", "b"]
-    assert unique_identifiers(code) == ["a", "b"]
     assert identifier_set(code) == frozenset({"a", "b"})

@@ -210,7 +210,6 @@ def _kb_and_list(texts: list[str]) -> tuple[CodeKnowledgeBase, RetrievalList]:
             file_path="m.py",
             line_span=(i + 1, i + 1),
             text=text,
-            identifiers=(),
         )
         for i, text in enumerate(texts)
     ]

@@ -29,7 +29,6 @@ def kb_from_texts(texts: list[str], ids: list[str] | None = None) -> CodeKnowled
             file_path="corpus.py",
             line_span=(i + 1, i + 1),
             text=text,
-            identifiers=(),
         )
         for i, text in enumerate(texts)
     ]
