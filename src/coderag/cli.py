@@ -211,16 +211,25 @@ def cmd_bench_timings(args: argparse.Namespace) -> int:
     indexes = _indexes_for(tasks, args.kb_dir, clients.embedder)
 
     sums: dict[str, float] = {}  # stage -> seconds, in execution order
+    failed = 0
     for task in tasks:
-        result = complete(task, indexes[task.repo_root], clients, cfg)
+        try:
+            result = complete(task, indexes[task.repo_root], clients, cfg)
+        except CodeRagError as exc:
+            print(f"error: task {task.task_id}: {exc}", file=sys.stderr)
+            failed += 1
+            continue
         for stage, seconds in result.timings.items():
             sums[stage] = sums.get(stage, 0.0) + seconds
 
-    print(f"mean seconds per stage over {len(tasks)} tasks:")
+    completed = len(tasks) - failed
+    print(f"mean seconds per stage over {completed} tasks:")
     for stage, total in sums.items():
         enabled = stage not in ALL_PATHS or stage in cfg.paths
-        value = f"{total / len(tasks):.6f}" if enabled else "skipped"
+        value = f"{total / completed:.6f}" if enabled else "skipped"
         print(f"  {stage:<20} {value}")
+    if failed:
+        print(f"failed tasks: {failed}/{len(tasks)}")
     return EXIT_OK
 
 

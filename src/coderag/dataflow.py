@@ -84,7 +84,6 @@ class DataflowGraph:
     uses: list[_Use]
     by_name: dict[str, list[_Binding]]
     final_uses: list[_Use]
-    last_line_uses: set[str]
 
     @cached_property
     def nodes(self) -> list[FlowNode]:
@@ -440,7 +439,6 @@ def build_dataflow_graph(file_text_up_to_cursor: str) -> DataflowGraph:
         uses=uses,
         by_name=by_name,
         final_uses=final_uses,
-        last_line_uses={u.name for u in final_uses},
     )
 
 
@@ -464,9 +462,8 @@ def _reaching(
 
 
 class _Collector:
-    def __init__(self, graph: DataflowGraph, depth: int):
+    def __init__(self, graph: DataflowGraph):
         self.graph = graph
-        self.depth = depth
         self.collected: list[str] = []
         self._seen: set[str] = set()
         self._visited: set[tuple[str, int]] = set()
@@ -518,10 +515,10 @@ class _Collector:
         return ""
 
 
-def dependency_names(graph: DataflowGraph, depth: int = WALK_DEPTH) -> list[str]:
+def dependency_names(graph: DataflowGraph) -> list[str]:
     """Names the cursor line's uses depend on, in collection order: plain
     names and ``Class.member`` / ``module.symbol`` pairs."""
-    collector = _Collector(graph, depth)
+    collector = _Collector(graph)
     for use in graph.final_uses:
         if use.chain:
             head = _reaching(graph.by_name, use.name, use.stmt_idx, use.scope)
@@ -530,17 +527,15 @@ def dependency_names(graph: DataflowGraph, depth: int = WALK_DEPTH) -> list[str]
                 collector.collect(use.chain[0])
                 collector.collect(f"{head.origin.split('.')[-1]}.{use.chain[0]}")
             else:
-                cls = collector.instance_class(use.name, use.stmt_idx, use.scope, depth)
+                cls = collector.instance_class(use.name, use.stmt_idx, use.scope, WALK_DEPTH)
                 if cls:
                     collector.collect(cls)
                     collector.collect(f"{cls}.{use.chain[0]}")
-        collector.walk(use.name, use.stmt_idx, use.scope, depth)
+        collector.walk(use.name, use.stmt_idx, use.scope, WALK_DEPTH)
     return collector.collected
 
 
-def dataflow_retrieve(
-    graph: DataflowGraph, kb: CodeKnowledgeBase, depth: int = WALK_DEPTH
-) -> list[tuple[str, float]]:
+def dataflow_retrieve(graph: DataflowGraph, kb: CodeKnowledgeBase) -> list[tuple[str, float]]:
     """At most one knowledge item reachable from the cursor line's uses.
 
     A dotted name matches an item's qualified name; a plain name matches
@@ -550,7 +545,7 @@ def dataflow_retrieve(
     then item id.
     """
     matches = [
-        item for item in map(kb.best_match, dependency_names(graph, depth)) if item is not None
+        item for item in map(kb.best_match, dependency_names(graph)) if item is not None
     ]
     if not matches:
         return []

@@ -25,7 +25,7 @@ from .kb import CodeKnowledgeBase, build_knowledge_base, load_knowledge_base
 from .kb import save_knowledge_base
 from .querybuild import RetrievalQuery, construct_query
 from .rerank import RerankOutcome, rerank
-from .retrieve import RetrievalList, merge_paths
+from .retrieve import RetrievalList, RetrievalPath, merge_paths
 from .sparse import SparseIndex, build_sparse_index, load_sparse_index
 from .sparse import save_sparse_index, sparse_retrieve
 
@@ -37,7 +37,8 @@ SNIPPET_HEADER = "# file: {path}"
 @dataclass(frozen=True)
 class CompletionTask:
     """One completion case: everything before the cursor plus, when
-    evaluating, the reference completion."""
+    evaluating, the reference completion.  ``cursor_line`` records the
+    prefix's last line (1-based); the pipeline never reads it."""
 
     task_id: str
     repo_root: str
@@ -114,8 +115,13 @@ def assemble_prompt(
     Snippets arrive in rerank order (rank 1 first) and appear in that
     order; each block carries its file path as a comment header.  Over
     budget, snippets are dropped lowest-rank first, then prefix lines from
-    the top — never from the cursor end.  With no snippets the prompt is
-    exactly the prefix.
+    the top — never the cursor line, which is the last.  With no snippets
+    the prompt is exactly the prefix.
+
+    The fewest leading lines to drop are found by binary search.  That
+    equals dropping one line at a time whenever the count does not grow
+    as leading lines are removed, which holds for the approximate counter
+    because it is additive across lines.
     """
     count, exact = token_counter(generator)
     effective = budget - reserve
@@ -140,15 +146,24 @@ def assemble_prompt(
     if count(prompt) <= effective:
         return prompt
 
+    # No snippet is left; drop the fewest leading prefix lines that fit.
     prefix_lines = prefix.split("\n")
-    while len(prefix_lines) > 1 and count(compose(kept, "\n".join(prefix_lines))) > effective:
-        prefix_lines.pop(0)
-    prompt = compose(kept, "\n".join(prefix_lines))
-    if count(prompt) > effective:
+
+    def tail(drop: int) -> str:
+        return "\n".join(prefix_lines[drop:])
+
+    lo, hi = 1, len(prefix_lines) - 1  # dropping none is over budget
+    if hi < lo or count(tail(hi)) > effective:
         raise BudgetImpossible(
             f"the cursor line alone exceeds the available budget of {effective} tokens"
         )
-    return prompt
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if count(tail(mid)) <= effective:
+            hi = mid
+        else:
+            lo = mid + 1
+    return tail(hi)
 
 
 @dataclass
@@ -196,13 +211,11 @@ def complete(
     timings: dict[str, float] = {}
 
     with _Stage("query_construction", timings):
-        query = construct_query(
-            task.prefix, None, config.f, config.m, config.g, probe=clients.probe
-        )
+        query = construct_query(task.prefix, config.f, config.m, config.g, probe=clients.probe)
 
     dataflow_hits: list[tuple[str, float]] = []
     with _Stage("dataflow", timings):
-        if "dataflow" in paths:
+        if RetrievalPath.DATAFLOW in paths:
             try:
                 graph = build_dataflow_graph(task.prefix)
                 dataflow_hits = dataflow_retrieve(graph, index.kb)
@@ -211,18 +224,20 @@ def complete(
 
     sparse_hits: list[tuple[str, float]] = []
     with _Stage("sparse", timings):
-        if "sparse" in paths:
+        if RetrievalPath.SPARSE in paths:
             sparse_hits = sparse_retrieve(index.sparse, query.combined_text, j)
 
     dense_hits: list[tuple[str, float]] = []
     with _Stage("dense", timings):
-        if "dense" in paths:
+        if RetrievalPath.DENSE in paths:
             dense_hits = dense_retrieve(index.dense, query.combined_text, clients.embedder, j)
 
-    retrieval_list = merge_paths(query, dataflow_hits, sparse_hits, dense_hits, j)
+    retrieval_list = merge_paths(dataflow_hits, sparse_hits, dense_hits, j)
 
     with _Stage("rerank", timings):
-        outcome = rerank(retrieval_list, index.kb, clients.picker, config.u, config.w)
+        outcome = rerank(
+            retrieval_list, query.combined_text, index.kb, clients.picker, config.u, config.w
+        )
 
     with _Stage("prompt_assembly", timings):
         snippets = [

@@ -1,15 +1,16 @@
 """Retrieval-query construction by log-probability probing.
 
-The unfinished file is cut into fixed-size line chunks; each non-target
-chunk is prepended to the target chunk and scored by the probe model's
-summed per-step maximum log-probability over m greedy steps.  The top-g
-chunks (in original file order) plus the target chunk form the query.
+The unfinished file ends at the cursor.  It is cut into fixed-size line
+chunks; the last chunk is the target.  Each chunk before it is
+prepended to the target and scored by the probe model's summed per-step
+maximum log-probability over m greedy steps.  The top-g chunks (in
+original file order) plus the target chunk form the query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Protocol, Sequence
 
 from .errors import EmptyFile, ProbeUnavailable
 
@@ -27,13 +28,6 @@ class ProbeClient(Protocol):
 
 
 @dataclass(frozen=True)
-class Chunk:
-    index: int
-    line_span: tuple[int, int]  # 1-based inclusive
-    text: str
-
-
-@dataclass(frozen=True)
 class ChunkScore:
     chunk_index: int
     confidence: float
@@ -46,49 +40,20 @@ class RetrievalQuery:
     combined_text: str
 
 
-def _split_lines(file_text: str) -> list[str]:
-    return file_text.replace("\r\n", "\n").split("\n")
+def chunk_file(file_text: str, f: int) -> list[str]:
+    """Partition the file into chunks of f lines (the last may be shorter).
 
-
-def chunk_file(
-    file_text: str, f: int, cursor_line: int | None = None
-) -> tuple[list[Chunk], int]:
-    """Partition the file into chunks of f lines (last may be shorter).
-
-    Returns the chunks and the index of the chunk containing the cursor
-    line (defaults to the last line).
+    The last chunk holds the cursor line and is the target.
     """
     if f < 1:
         raise ValueError("chunk length f must be >= 1")
     if not file_text:
         raise EmptyFile("cannot chunk an empty file")
-    lines = _split_lines(file_text)
-    if lines and lines[-1] == "" and len(lines) > 1:
+    lines = file_text.replace("\r\n", "\n").split("\n")
+    if len(lines) > 1 and lines[-1] == "":
         # A single trailing newline does not create an extra (empty) line.
-        lines = lines[:-1]
-    if cursor_line is None:
-        cursor_line = len(lines)
-    if not 1 <= cursor_line <= len(lines):
-        raise ValueError(f"cursor line {cursor_line} outside file of {len(lines)} lines")
-
-    chunks = [
-        Chunk(
-            index=start // f,
-            line_span=(start + 1, min(start + f, len(lines))),
-            text="\n".join(lines[start : start + f]),
-        )
-        for start in range(0, len(lines), f)
-    ]
-    return chunks, (cursor_line - 1) // f
-
-
-def target_chunk_text(chunks: list[Chunk], target_index: int, cursor_line: int) -> str:
-    """Target chunk truncated at the cursor line; completion must not see
-    lines past the cursor."""
-    chunk = chunks[target_index]
-    start, end = chunk.line_span
-    keep = min(cursor_line, end) - start + 1
-    return "\n".join(chunk.text.split("\n")[:keep])
+        lines.pop()
+    return ["\n".join(lines[start : start + f]) for start in range(0, len(lines), f)]
 
 
 def probe_prompt(chunk_text: str, target_text: str) -> str:
@@ -96,28 +61,20 @@ def probe_prompt(chunk_text: str, target_text: str) -> str:
 
 
 def score_chunks(
-    chunks: list[Chunk],
-    target_index: int,
-    probe: ProbeClient,
-    m: int,
-    target_text: str | None = None,
+    context: Sequence[str], target_text: str, probe: ProbeClient, m: int
 ) -> list[ChunkScore]:
-    """One confidence score per non-target chunk, in chunk order."""
-    if len(chunks) < 2:
-        raise ValueError("scoring needs at least 2 chunks")
-    if target_text is None:
-        target_text = chunks[target_index].text
+    """One confidence score per chunk before the target, in file order."""
+    if not context:
+        raise ValueError("scoring needs at least one chunk before the target")
     scores: list[ChunkScore] = []
-    for chunk in chunks:
-        if chunk.index == target_index:
-            continue
+    for index, chunk in enumerate(context):
         try:
-            confidence = probe.greedy_score(probe_prompt(chunk.text, target_text), m)
+            confidence = probe.greedy_score(probe_prompt(chunk, target_text), m)
         except ProbeUnavailable:
             raise
         except Exception as exc:
-            raise ProbeUnavailable(f"probe failed on chunk {chunk.index}: {exc}") from exc
-        scores.append(ChunkScore(chunk_index=chunk.index, confidence=confidence))
+            raise ProbeUnavailable(f"probe failed on chunk {index}: {exc}") from exc
+        scores.append(ChunkScore(chunk_index=index, confidence=confidence))
     return scores
 
 
@@ -129,12 +86,7 @@ def select_top_chunks(scores: list[ChunkScore], g: int) -> list[int]:
 
 
 def construct_query(
-    file_text: str,
-    cursor_line: int | None,
-    f: int,
-    m: int,
-    g: int,
-    probe: ProbeClient | None = None,
+    file_text: str, f: int, m: int, g: int, probe: ProbeClient | None = None
 ) -> RetrievalQuery:
     """Build the retrieval query for the unfinished file.
 
@@ -143,22 +95,16 @@ def construct_query(
     """
     if g < 0:
         raise ValueError("g must be >= 0")
-    chunks, target_index = chunk_file(file_text, f, cursor_line)
-    if cursor_line is None:
-        cursor_line = chunks[-1].line_span[1]
-    target_text = target_chunk_text(chunks, target_index, cursor_line)
-
-    if len(chunks) < 2 or g == 0:
-        return RetrievalQuery(
-            selected_chunks=(), target_chunk=target_text, combined_text=target_text
-        )
+    *context, target = chunk_file(file_text, f)
+    if not context or g == 0:
+        return RetrievalQuery(selected_chunks=(), target_chunk=target, combined_text=target)
     if probe is None:
         raise ValueError("a probe client is required when there are chunks to score")
 
-    scores = score_chunks(chunks, target_index, probe, m, target_text)
-    chosen = select_top_chunks(scores, g)
-    selected = tuple(chunks[i].text for i in chosen)
-    combined = "\n".join(list(selected) + [target_text])
+    chosen = select_top_chunks(score_chunks(context, target, probe, m), g)
+    selected = tuple(context[i] for i in chosen)
     return RetrievalQuery(
-        selected_chunks=selected, target_chunk=target_text, combined_text=combined
+        selected_chunks=selected,
+        target_chunk=target,
+        combined_text="\n".join(selected + (target,)),
     )

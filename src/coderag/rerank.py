@@ -133,9 +133,6 @@ class _Tournament:
     def root(self) -> int | None:
         return self.layers[-1][0] if self.layers else self.leaf_winner[0]
 
-    def extract(self) -> int | None:
-        return self.root()
-
     def remove(self, pos: int) -> None:
         """Remove an extracted item and replay its root-to-leaf path."""
         winner_leaf = None
@@ -221,7 +218,7 @@ def heap_rerank(
         arena = _Tournament(item_ids, texts, query_text, picker, w)
         ordered: list[int] = []
         while len(ordered) < u_eff:
-            champion = arena.extract()
+            champion = arena.root()
             if champion is None:
                 break
             ordered.append(champion)
@@ -247,14 +244,16 @@ def truncate_snippet(text: str, budget: int = SNIPPET_CHAR_BUDGET) -> str:
 
 def rerank(
     retrieval_list: RetrievalList,
+    query_text: str,
     kb: CodeKnowledgeBase,
     picker: PickerClient,
     u: int,
     w: int,
 ) -> RerankOutcome:
-    """Rerank a retrieval list by resolving candidate texts from the KB."""
+    """Rerank a retrieval list for ``query_text``, resolving candidate
+    texts from the KB."""
     if not retrieval_list.candidates:
         return RerankOutcome(ordered_items=[], picker_calls=0)
     ids = retrieval_list.item_ids()
     texts = [truncate_snippet(kb.get(item_id).text) for item_id in ids]
-    return heap_rerank(ids, texts, retrieval_list.query.combined_text, picker, u, w)
+    return heap_rerank(ids, texts, query_text, picker, u, w)

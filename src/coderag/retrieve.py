@@ -12,15 +12,16 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from .querybuild import RetrievalQuery
-
-ALL_PATHS = ("dataflow", "sparse", "dense")
-
 
 class RetrievalPath(str, Enum):
-    SPARSE = "Sparse"
-    DENSE = "Dense"
-    DATAFLOW = "Dataflow"
+    """The retrieval paths, declared in merge order."""
+
+    DATAFLOW = "dataflow"
+    SPARSE = "sparse"
+    DENSE = "dense"
+
+
+ALL_PATHS = tuple(p.value for p in RetrievalPath)
 
 
 # Slotted: up to 2j+1 per task, and a caller may keep every task's result.
@@ -34,7 +35,6 @@ class RetrievalCandidate:
 
 @dataclass
 class RetrievalList:
-    query: RetrievalQuery
     candidates: list[RetrievalCandidate] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -45,7 +45,6 @@ class RetrievalList:
 
 
 def merge_paths(
-    query: RetrievalQuery,
     dataflow_hits: Sequence[tuple[str, float]],
     sparse_hits: Sequence[tuple[str, float]],
     dense_hits: Sequence[tuple[str, float]],
@@ -65,5 +64,5 @@ def merge_paths(
                 continue
             seen.add(item_id)
             merged.append(RetrievalCandidate(item_id, path, rank, score))
-    return RetrievalList(query=query, candidates=merged[: 2 * j + 1])
+    return RetrievalList(candidates=merged[: 2 * j + 1])
 

@@ -35,6 +35,7 @@ from .errors import (
 PROTOCOL_VERSION = 1
 REQUEST_TYPES = ("generate", "score", "embed", "chat")
 DEFAULT_TIMEOUT_SECONDS = 60.0
+PICK_MAX_TOKENS = 16  # a pick reply is one short selection like "[C] = 2"
 
 _PICK_RE = re.compile(r"\[C\]\s*=\s*(\d+)")
 _INT_RE = re.compile(r"\b(\d+)\b")
@@ -121,14 +122,12 @@ class WireProbeClient(_WireClient):
 
 
 class WireEmbedderClient(_WireClient):
-    def __init__(
-        self,
-        endpoint: str,
-        dim: int | None = None,
-        timeout: float = DEFAULT_TIMEOUT_SECONDS,
-    ):
+    """Embeddings via an ``embed`` request; the dimension is learned from
+    the first reply and every later reply must match it."""
+
+    def __init__(self, endpoint: str, timeout: float = DEFAULT_TIMEOUT_SECONDS):
         super().__init__(endpoint, timeout)
-        self._dim = dim
+        self._dim: int | None = None
 
     def embed(self, text: str) -> list[float]:
         try:
@@ -158,18 +157,16 @@ class WirePickerClient(_WireClient):
         self,
         endpoint: str,
         template: str | None = None,
-        max_tokens: int = 16,
         timeout: float = DEFAULT_TIMEOUT_SECONDS,
     ):
         super().__init__(endpoint, timeout)
         self.template = template if template is not None else default_rerank_template()
-        self.max_tokens = max_tokens
 
     def pick(self, query_text: str, window: Sequence[str]) -> int:
         prompt = render_rerank_prompt(self.template, query_text, window)
         try:
             reply = self._call(
-                "chat", prompt=prompt, max_tokens=self.max_tokens, temperature=0.0
+                "chat", prompt=prompt, max_tokens=PICK_MAX_TOKENS, temperature=0.0
             )
             text = str(reply["text"])
         except (WireError, KeyError) as exc:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import ast
 
-from coderag.dataflow import DATAFLOW_SCORE, WALK_DEPTH, DataflowGraph, dependency_names
+from coderag.dataflow import DATAFLOW_SCORE, DataflowGraph, dependency_names
 from coderag.kb import CodeKnowledgeBase, CodeKnowledgeItem, ItemKind
 
 # The match preference, written out again so that the oracle does not
@@ -17,11 +17,9 @@ _KIND_PRIORITY = {
 }
 
 
-def scan_retrieve(
-    graph: DataflowGraph, kb: CodeKnowledgeBase, depth: int = WALK_DEPTH
-) -> list[tuple[str, float]]:
+def scan_retrieve(graph: DataflowGraph, kb: CodeKnowledgeBase) -> list[tuple[str, float]]:
     """Match every knowledge item against the collected names, then sort."""
-    collected = dependency_names(graph, depth)
+    collected = dependency_names(graph)
     if not collected:
         return []
     full = set(collected)

@@ -23,7 +23,7 @@ from coderag.distill import build_distillation_data
 from coderag.evaluation import edit_similarity, levenshtein
 from coderag.kb import build_knowledge_base, load_knowledge_base, save_knowledge_base
 from coderag.pipeline import CompletionTask, PipelineClients, RepoIndex, complete
-from coderag.querybuild import chunk_file, construct_query, probe_prompt, target_chunk_text
+from coderag.querybuild import chunk_file, construct_query, probe_prompt
 from coderag.rerank import analytic_call_bound, make_windows
 from coderag.retrieve import RetrievalPath
 from coderag.sparse import build_sparse_index, sparse_retrieve
@@ -120,28 +120,25 @@ def test_query_construction_conformance():
         checked = 0
         while checked < 200:
             n_lines = rng.randint(2, 40)
-            text = "\n".join(f"tok{i} = {i}" for i in range(1, n_lines + 1))
             f = rng.randint(1, 6)
             cursor = rng.randint(1, n_lines)
-            chunks, target = chunk_file(text, f, cursor)
-            if len(chunks) < 2:
+            # the unfinished file ends at its cursor line
+            text = "\n".join(f"tok{i} = {i}" for i in range(1, cursor + 1))
+            *context, target = chunk_file(text, f)
+            if not context:
                 continue
-            g = rng.randint(0, len(chunks))
-            target_text = target_chunk_text(chunks, target, cursor)
-            scores = rng.sample(range(-10_000, 0), k=len(chunks))  # injective
-            table = {
-                probe_prompt(c.text, target_text): float(scores[c.index])
-                for c in chunks
-                if c.index != target
-            }
-            query = construct_query(text, cursor, f=f, m=4, g=g, probe=MapProbe(table))
+            g = rng.randint(0, len(context) + 1)
+            scores = rng.sample(range(-10_000, 0), k=len(context))  # injective
+            table = {probe_prompt(c, target): float(s) for c, s in zip(context, scores)}
+            query = construct_query(text, f=f, m=4, g=g, probe=MapProbe(table))
             ranked = sorted(
-                (c for c in chunks if c.index != target),
-                key=lambda c: (-table[probe_prompt(c.text, target_text)], c.index),
+                range(len(context)),
+                key=lambda i: (-table[probe_prompt(context[i], target)], i),
             )
-            expected = [c.text for c in sorted(ranked[:g], key=lambda c: c.index)]
+            expected = [context[i] for i in sorted(ranked[:g])]
             assert list(query.selected_chunks) == expected
-            assert target_text not in query.selected_chunks
+            assert query.target_chunk == target
+            assert target not in query.selected_chunks
             checked += 1
 
 

@@ -115,7 +115,7 @@ def test_complete_dump_and_ablation(indexed_mini, tmp_path):
     artifact = json.loads(artifact_path.read_text())
     assert artifact["config"]["paths"] == ["sparse"]
     assert artifact["retrieval_list"], "sparse path must retrieve something"
-    assert {c["path"] for c in artifact["retrieval_list"]} == {"Sparse"}
+    assert {c["path"] for c in artifact["retrieval_list"]} == {"sparse"}
     assert artifact["prompt"].endswith("cfg = parse_conf")
 
 
@@ -124,10 +124,10 @@ def test_complete_all_path_variants(indexed_mini, tmp_path):
     repo, idx = indexed_mini
     task = write_task(tmp_path / "task.json", repo)
     variants = {
-        "sparse": {"Sparse"},
-        "dense": {"Dense"},
-        "dataflow,sparse": {"Sparse"},  # this prefix has no dataflow hit
-        "dataflow,sparse,dense": {"Sparse", "Dense"},
+        "sparse": {"sparse"},
+        "dense": {"dense"},
+        "dataflow,sparse": {"sparse"},  # this prefix has no dataflow hit
+        "dataflow,sparse,dense": {"sparse", "dense"},
     }
     for paths, expected in variants.items():
         dump = tmp_path / f"dump_{paths.replace(',', '_')}"
@@ -313,6 +313,26 @@ def test_bench_timings_table(indexed_mini, tmp_path, capsys):
         row = next(line for line in stdout.splitlines() if line.split()[:1] == [stage])
         assert "skipped" not in row
         float(row.split()[1])
+
+
+def test_bench_timings_counts_failed_tasks(indexed_mini, tmp_path, capsys):
+    repo, idx = indexed_mini
+    dataset = write_dataset(tmp_path / "tasks.jsonl", repo, count=2)
+    # a cursor line longer than the whole input budget fails in prompt assembly
+    overlong = {
+        "task_id": "too-long", "repo": str(repo), "file": "main.py",
+        "prefix": "x = [" + ", ".join(["1"] * 3000) + "]", "ground_truth": "",
+    }
+    with open(dataset, "a") as fh:
+        fh.write(json.dumps(overlong) + "\n")
+    assert run_cli("bench-timings", "--dataset", str(dataset), "--kb-dir", str(idx)) == 0
+    captured = capsys.readouterr()
+    stdout = captured.out
+    assert "task too-long" in captured.err
+    assert "mean seconds per stage over 2 tasks:" in stdout
+    assert stdout.rstrip().splitlines()[-1] == "failed tasks: 1/3"
+    generate_row = next(line for line in stdout.splitlines() if line.split()[:1] == ["generate"])
+    float(generate_row.split()[1])
 
 
 def test_help_shows_defaults(capsys):

@@ -65,16 +65,21 @@ KB = make_kb([
 # --- graph shape ------------------------------------------------------------
 
 
+def final_names(graph) -> set[str]:
+    """Names used on the cursor line."""
+    return {u.name for u in graph.final_uses}
+
+
 def test_graph_single_def_use_pair():
     graph = build_dataflow_graph("a = Foo()\nb = a.")
-    assert graph.last_line_uses == {"a"}
+    assert final_names(graph) == {"a"}
     def_use = [(s.name, s.line, d.name, d.line) for s, d in graph.edges]
     assert ("a", 1, "a", 2) in def_use
 
 
 def test_graph_import_binding():
     graph = build_dataflow_graph("from m import Foo\nx = Foo(")
-    assert graph.last_line_uses == {"Foo"}
+    assert final_names(graph) == {"Foo"}
     kinds = {(n.name, n.kind) for n in graph.nodes}
     assert ("Foo", "import-binding") in kinds
     assert any(s.kind == "import-binding" and d.name == "Foo" for s, d in graph.edges)
@@ -82,7 +87,7 @@ def test_graph_import_binding():
 
 def test_graph_nearest_definition_wins():
     graph = build_dataflow_graph("a = 1\na = 2\nprint(a")
-    assert "a" in graph.last_line_uses
+    assert "a" in final_names(graph)
     sources = [s.line for s, d in graph.edges if d.name == "a" and d.line == 3]
     assert sources == [2]
 
@@ -92,7 +97,7 @@ def test_graph_is_prefix_only():
     # caller later appends to the file
     a = build_dataflow_graph("x = Foo()\nx.bar")
     b = build_dataflow_graph("x = Foo()\nx.bar")
-    assert a.last_line_uses == b.last_line_uses
+    assert final_names(a) == final_names(b)
     assert [(s, d) for s, d in a.edges] == [(s, d) for s, d in b.edges]
 
 

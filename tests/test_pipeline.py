@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coderag.clients import EchoGenerator, OverlapPicker, StubEmbedder, StubProbe
 from coderag.config import RunConfig
@@ -15,9 +19,10 @@ from coderag.pipeline import (
     complete,
     result_artifacts,
 )
-from coderag.retrieve import RetrievalPath
+from coderag.retrieve import ALL_PATHS, RetrievalPath
 
 from .conftest import MINI_PREFIX
+from .prompt_oracle import linear_assemble_prompt
 
 
 class WordCountGenerator:
@@ -97,6 +102,56 @@ def test_missing_tokenizer_applies_margin():
         [], "w0\nw1 w2 w3", budget=4, generator=NoTokenizerGenerator(), reserve=0
     )
     assert prompt == "w1 w2 w3"
+
+
+class CountingGenerator(EchoGenerator):
+    """The echo generator's approximate counter, with its calls counted."""
+
+    def __init__(self):
+        super().__init__()
+        self.count_calls = 0
+
+    def count_tokens(self, text):
+        self.count_calls += 1
+        return super().count_tokens(text)
+
+
+_WORD = st.text(alphabet="ab(). ", min_size=0, max_size=8)
+_LINES = st.lists(_WORD, min_size=1, max_size=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    prefix_lines=st.one_of(st.lists(_WORD, min_size=1, max_size=1), _LINES),
+    snippets=st.lists(st.tuples(st.sampled_from(["m.py", "n.py"]), _WORD), max_size=4),
+    budget=st.integers(min_value=1, max_value=80),
+    reserve=st.integers(min_value=0, max_value=8),
+    generator=st.sampled_from([EchoGenerator(), NoTokenizerGenerator(), WordCountGenerator()]),
+)
+def test_prompt_trim_matches_linear_oracle(prefix_lines, snippets, budget, reserve, generator):
+    prefix = "\n".join(prefix_lines) or "x"
+
+    def run(assemble):
+        try:
+            return assemble(snippets, prefix, budget=budget, generator=generator, reserve=reserve)
+        except BudgetImpossible:
+            return BudgetImpossible
+
+    assert run(assemble_prompt) == run(linear_assemble_prompt)
+
+
+def test_prompt_trim_count_calls_are_logarithmic():
+    n = 3000
+    prefix = "\n".join(f"value_{i} = compute({i}, step)" for i in range(n))
+    generator = CountingGenerator()
+    prompt = assemble_prompt([], prefix, budget=2048, generator=generator, reserve=48)
+    calls = generator.count_calls
+    # the kept lines are the longest tail of the prefix that fits
+    kept = prompt.count("\n") + 1
+    assert prefix.endswith(prompt)
+    assert generator.count_tokens(prompt) <= 2000
+    assert generator.count_tokens("\n".join(prefix.split("\n")[-kept - 1 :])) > 2000
+    assert calls <= 2 * math.ceil(math.log2(n)) + 4
 
 
 # --- end-to-end fixture -------------------------------------------------------
@@ -231,6 +286,15 @@ def test_artifact_dump_is_json_ready(mini_repo):
     assert parsed["config"] == {"j": 15}
     assert parsed["rerank_outcome"]["ordered_items"] == result.rerank_outcome.ordered_items
     assert parsed["prompt"] == result.prompt
+
+
+def test_dumped_paths_are_run_config_paths(mini_repo):
+    index = RepoIndex.build(mini_repo, StubEmbedder())
+    result = complete(mini_task(mini_repo), index, stub_clients())
+    dumped = {c["path"] for c in result_artifacts(result, {})["retrieval_list"]}
+    assert dumped
+    assert RunConfig(paths=tuple(dumped)).paths == tuple(dumped)
+    assert dumped <= set(ALL_PATHS)
 
 
 def test_generation_config_validation():

@@ -15,7 +15,6 @@ from coderag.querybuild import (
     probe_prompt,
     score_chunks,
     select_top_chunks,
-    target_chunk_text,
 )
 
 
@@ -41,51 +40,34 @@ def lines(n: int) -> str:
 
 
 def test_chunk_seven_lines_f3():
-    chunks, target = chunk_file(lines(7), f=3, cursor_line=7)
-    assert [c.line_span for c in chunks] == [(1, 3), (4, 6), (7, 7)]
-    assert target == 2
+    assert chunk_file(lines(7), f=3) == [lines(3), "v4 = 4\nv5 = 5\nv6 = 6", "v7 = 7"]
 
 
 def test_chunk_single_chunk_file():
-    chunks, target = chunk_file(lines(3), f=3, cursor_line=2)
-    assert len(chunks) == 1 and target == 0
+    assert chunk_file(lines(3), f=3) == [lines(3)]
 
 
 def test_chunk_f1():
-    chunks, target = chunk_file(lines(4), f=1, cursor_line=3)
-    assert len(chunks) == 4 and target == 2
+    assert chunk_file(lines(4), f=1) == [f"v{i} = {i}" for i in range(1, 5)]
 
 
 def test_chunks_partition_the_file():
     text = lines(11)
-    chunks, _ = chunk_file(text, f=4, cursor_line=1)
-    assert "\n".join(c.text for c in chunks) == text
+    assert "\n".join(chunk_file(text, f=4)) == text
 
 
 def test_chunk_empty_file():
     with pytest.raises(EmptyFile):
-        chunk_file("", f=3, cursor_line=1)
-
-
-def test_chunk_cursor_out_of_range():
-    with pytest.raises(ValueError):
-        chunk_file(lines(3), f=3, cursor_line=9)
+        chunk_file("", f=3)
 
 
 def test_crlf_normalized():
-    chunks, _ = chunk_file("a = 1\r\nb = 2\r\n", f=3, cursor_line=2)
-    assert chunks[0].text == "a = 1\nb = 2"
-
-
-def test_target_chunk_truncated_at_cursor():
-    chunks, target = chunk_file(lines(6), f=3, cursor_line=5)
-    assert target == 1
-    assert target_chunk_text(chunks, target, cursor_line=5) == "v4 = 4\nv5 = 5"
+    assert chunk_file("a = 1\r\nb = 2\r\n", f=3) == ["a = 1\nb = 2"]
 
 
 # --- score_chunks -----------------------------------------------------------
 
-# Fixture (f=2, 6 lines, cursor on line 6): identifiers per chunk are
+# Fixture (f=2, 6 lines): identifiers per chunk are
 #   chunk0 {alpha, beta}, chunk1 {gamma, delta},
 #   target {main, print, alpha, beta}
 # so the overlap probe gives chunk0 -> -0.0 and chunk1 -> -2.0.
@@ -100,24 +82,21 @@ FIXTURE = (
 
 
 def test_stub_probe_scores_by_hand():
-    chunks, target = chunk_file(FIXTURE, f=2, cursor_line=6)
-    target_text = target_chunk_text(chunks, target, 6)
-    probe = StubProbe(target_text=target_text)
-    scores = score_chunks(chunks, target, probe, m=8, target_text=target_text)
+    *context, target = chunk_file(FIXTURE, f=2)
+    probe = StubProbe(target_text=target)
+    scores = score_chunks(context, target, probe, m=8)
     assert scores == [ChunkScore(0, -0.0), ChunkScore(1, -2.0)]
 
 
 def test_score_chunks_skips_target():
-    chunks, target = chunk_file(lines(9), f=3, cursor_line=9)
-    probe = StubProbe()
-    scores = score_chunks(chunks, target, probe, m=4)
+    *context, target = chunk_file(lines(9), f=3)
+    scores = score_chunks(context, target, StubProbe(), m=4)
     assert [s.chunk_index for s in scores] == [0, 1]
 
 
 def test_equal_chunks_tie_to_lower_index():
-    text = "a = 1\na = 1\nb = 2"
-    chunks, target = chunk_file(text, f=1, cursor_line=3)
-    scores = score_chunks(chunks, target, StubProbe(), m=4)
+    *context, target = chunk_file("a = 1\na = 1\nb = 2", f=1)
+    scores = score_chunks(context, target, StubProbe(), m=4)
     assert scores[0].confidence == scores[1].confidence
     assert select_top_chunks(scores, 1) == [0]
 
@@ -129,46 +108,44 @@ def test_probe_failure_is_wrapped():
         def greedy_score(self, prompt, m):
             raise RuntimeError("socket closed")
 
-    chunks, target = chunk_file(lines(6), f=3, cursor_line=6)
+    *context, target = chunk_file(lines(6), f=3)
     with pytest.raises(ProbeUnavailable):
-        score_chunks(chunks, target, Exploding(), m=2)
+        score_chunks(context, target, Exploding(), m=2)
 
 
 # --- construct_query --------------------------------------------------------
 
 
 def test_single_chunk_query_is_target_only():
-    query = construct_query(lines(2), cursor_line=2, f=3, m=8, g=1, probe=StubProbe())
+    query = construct_query(lines(2), f=3, m=8, g=1, probe=StubProbe())
     assert query.selected_chunks == ()
     assert query.combined_text == query.target_chunk == lines(2)
 
 
 def test_fixture_selects_overlapping_chunk():
-    chunks, target = chunk_file(FIXTURE, f=2, cursor_line=6)
-    target_text = target_chunk_text(chunks, target, 6)
-    query = construct_query(
-        FIXTURE, cursor_line=6, f=2, m=8, g=1, probe=StubProbe(target_text=target_text)
-    )
-    assert query.selected_chunks == (chunks[0].text,)
-    assert query.combined_text == chunks[0].text + "\n" + target_text
+    chunks = chunk_file(FIXTURE, f=2)
+    target = chunks[-1]
+    query = construct_query(FIXTURE, f=2, m=8, g=1, probe=StubProbe(target_text=target))
+    assert query.selected_chunks == (chunks[0],)
+    assert query.combined_text == chunks[0] + "\n" + target
 
 
 def test_g_larger_than_available_selects_all_in_order():
-    query = construct_query(lines(9), cursor_line=9, f=3, m=8, g=10, probe=StubProbe())
-    chunks, _ = chunk_file(lines(9), f=3)
-    assert query.selected_chunks == (chunks[0].text, chunks[1].text)
+    query = construct_query(lines(9), f=3, m=8, g=10, probe=StubProbe())
+    chunks = chunk_file(lines(9), f=3)
+    assert query.selected_chunks == (chunks[0], chunks[1])
 
 
 def test_g_zero_makes_no_probe_calls():
     probe = MapProbe({})
-    query = construct_query(lines(9), cursor_line=9, f=3, m=8, g=0, probe=probe)
+    query = construct_query(lines(9), f=3, m=8, g=0, probe=probe)
     assert probe.calls == 0
     assert query.selected_chunks == ()
 
 
 def test_determinism():
-    a = construct_query(FIXTURE, 6, f=2, m=8, g=1, probe=StubProbe())
-    b = construct_query(FIXTURE, 6, f=2, m=8, g=1, probe=StubProbe())
+    a = construct_query(FIXTURE, f=2, m=8, g=1, probe=StubProbe())
+    b = construct_query(FIXTURE, f=2, m=8, g=1, probe=StubProbe())
     assert a == b
 
 
@@ -179,33 +156,28 @@ def test_argmax_stability_random_configs():
     rng = random.Random(77)
     for trial in range(200):
         n_lines = rng.randint(2, 30)
-        text = lines(n_lines)
         f = rng.randint(1, 6)
         cursor = rng.randint(1, n_lines)
-        chunks, target = chunk_file(text, f, cursor)
-        if len(chunks) < 2:
+        text = lines(cursor)  # the prefix ends at the cursor
+        *context, target = chunk_file(text, f)
+        if not context:
             continue
-        g = rng.randint(0, len(chunks))
-        target_text = target_chunk_text(chunks, target, cursor)
+        g = rng.randint(0, len(context) + 1)
 
         # injective confidences per prompt
-        scores = rng.sample(range(-1000, 0), k=len(chunks))
-        table = {
-            probe_prompt(c.text, target_text): float(scores[c.index])
-            for c in chunks
-            if c.index != target
-        }
+        scores = rng.sample(range(-1000, 0), k=len(context))
+        table = {probe_prompt(c, target): float(s) for c, s in zip(context, scores)}
         probe = MapProbe(table)
-        query = construct_query(text, cursor, f=f, m=4, g=g, probe=probe)
+        query = construct_query(text, f=f, m=4, g=g, probe=probe)
 
         ranked = sorted(
-            (c for c in chunks if c.index != target),
-            key=lambda c: (-table[probe_prompt(c.text, target_text)], c.index),
+            range(len(context)), key=lambda i: (-table[probe_prompt(context[i], target)], i)
         )
-        expected = sorted(ranked[:g], key=lambda c: c.index)
-        assert list(query.selected_chunks) == [c.text for c in expected], f"trial {trial}"
+        expected = [context[i] for i in sorted(ranked[:g])]
+        assert list(query.selected_chunks) == expected, f"trial {trial}"
+        assert query.target_chunk.endswith(f"v{cursor} = {cursor}")
         # the target chunk is never selected (line texts are unique here)
-        assert target_text not in query.selected_chunks
+        assert target not in query.selected_chunks
         # order preservation: selected chunks appear in file order
         positions = [text.find(t) for t in query.selected_chunks]
         assert positions == sorted(positions)

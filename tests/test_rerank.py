@@ -9,7 +9,6 @@ import pytest
 
 from coderag.errors import InvalidPickReply, PickerUnavailable
 from coderag.kb import CodeKnowledgeBase, CodeKnowledgeItem, ItemKind
-from coderag.querybuild import RetrievalQuery
 from coderag.rerank import (
     TRUNCATION_MARKER,
     analytic_call_bound,
@@ -214,12 +213,11 @@ def _kb_and_list(texts: list[str]) -> tuple[CodeKnowledgeBase, RetrievalList]:
         for i, text in enumerate(texts)
     ]
     kb = CodeKnowledgeBase(items=items, repo_root="/r", file_manifest={"m.py": "0"})
-    query = RetrievalQuery((), "q", "q")
     candidates = [
         RetrievalCandidate(item.id, RetrievalPath.SPARSE, i + 1, 1.0 - i / 10)
         for i, item in enumerate(items)
     ]
-    return kb, RetrievalList(query=query, candidates=candidates)
+    return kb, RetrievalList(candidates=candidates)
 
 
 def test_rerank_resolves_texts_and_truncates():
@@ -234,7 +232,7 @@ def test_rerank_resolves_texts_and_truncates():
             seen.append(list(window))
             return 0
 
-    outcome = rerank(rlist, kb, SpyPicker(), u=2, w=3)
+    outcome = rerank(rlist, "q", kb, SpyPicker(), u=2, w=3)
     assert outcome.ordered_items
     joined = "\n".join(t for win in seen for t in win)
     assert TRUNCATION_MARKER in joined
@@ -251,5 +249,5 @@ def test_truncate_snippet_keeps_head():
 def test_rerank_empty_list():
     kb, rlist = _kb_and_list(["a"])
     rlist.candidates = []
-    outcome = rerank(rlist, kb, OrderPicker({}), u=3, w=3)
+    outcome = rerank(rlist, "q", kb, OrderPicker({}), u=3, w=3)
     assert outcome.ordered_items == []

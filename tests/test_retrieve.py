@@ -5,17 +5,13 @@ from __future__ import annotations
 from coderag.clients import EchoGenerator, OverlapPicker, StubEmbedder, StubProbe
 from coderag.config import RunConfig
 from coderag.pipeline import CompletionTask, PipelineClients, RepoIndex, complete
-from coderag.querybuild import RetrievalQuery
 from coderag.retrieve import RetrievalPath, merge_paths
 
 from .conftest import MINI_PREFIX
 
-QUERY = RetrievalQuery(selected_chunks=(), target_chunk="q", combined_text="q")
-
 
 def test_merge_disjoint_full_paths():
     merged = merge_paths(
-        QUERY,
         dataflow_hits=[("d0", float("inf"))],
         sparse_hits=[("s1", 0.9), ("s2", 0.8)],
         dense_hits=[("v1", 0.7), ("v2", 0.6)],
@@ -35,7 +31,6 @@ def test_merge_disjoint_full_paths():
 
 def test_merge_dedup_keeps_earliest_provenance():
     merged = merge_paths(
-        QUERY,
         dataflow_hits=[],
         sparse_hits=[("x", 0.9)],
         dense_hits=[("x", 0.99), ("y", 0.5)],
@@ -48,14 +43,14 @@ def test_merge_dedup_keeps_earliest_provenance():
 
 
 def test_merge_empty_paths():
-    merged = merge_paths(QUERY, [], [], [], j=5)
+    merged = merge_paths([], [], [], j=5)
     assert merged.candidates == []
 
 
 def test_merge_caps_at_2j_plus_1():
     sparse = [(f"s{i}", 1.0 - i / 100) for i in range(10)]
     dense = [(f"v{i}", 1.0 - i / 100) for i in range(10)]
-    merged = merge_paths(QUERY, [("d", float("inf"))], sparse, dense, j=3)
+    merged = merge_paths([("d", float("inf"))], sparse, dense, j=3)
     assert len(merged) == 7  # 2*3+1
 
 

@@ -115,7 +115,10 @@ def test_embedder_client_and_dimension(server):
 def test_picker_client_parses_selection(server):
     picker = WirePickerClient(server.endpoint)
     assert picker.pick("the query", ["aaa", "bbb", "ccc"]) == 1
-    prompt = server.requests[-1]["prompt"]
+    request = server.requests[-1]
+    assert list(request) == ["version", "type", "prompt", "max_tokens", "temperature"]
+    assert (request["type"], request["max_tokens"], request["temperature"]) == ("chat", 16, 0.0)
+    prompt = request["prompt"]
     assert "the query" in prompt
     assert "[1]\naaa" in prompt and "[3]\nccc" in prompt
 
