@@ -17,6 +17,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import EmbedderUnavailable, EmbeddingDimensionMismatch, IndexFormatError
+from .fanout import call_each
 from .kb import CodeKnowledgeBase
 from .topj import top_j
 
@@ -26,7 +27,14 @@ _MAGIC = b"CRDV"
 
 
 class EmbedderClient(Protocol):
-    """Deterministic text encoder; all vectors share one dimension."""
+    """Deterministic text encoder; all vectors share one dimension.
+
+    ``thread_safe`` declares that concurrent calls are allowed.  A client
+    that also sets ``waits_on_io`` has the index embeds overlapped on the
+    fan-out pool (:mod:`coderag.fanout`).
+    """
+
+    thread_safe: bool
 
     def embed(self, text: str) -> list[float]: ...
 
@@ -61,24 +69,31 @@ def build_dense_index(kb: CodeKnowledgeBase, embedder: EmbedderClient) -> DenseI
     """Embed every item's text (functions at function level, variables at
     their line level — both are exactly the item's text slice).
 
-    An embedder failure aborts the build; the raised error carries how far
-    the build got in ``items_embedded``.
+    An embedder failure aborts the build; the raised error carries, in
+    ``items_embedded``, the position of the first item that failed.  The
+    embeds overlap when the embedder waits on I/O
+    (:func:`coderag.fanout.call_each`); each writes only its own row.
     """
     dim = embedder.dimension()
-    rows = np.zeros((len(kb.items), dim), dtype=np.float32)
-    for pos, item in enumerate(kb.items):
+    items = kb.items
+    rows = np.zeros((len(items), dim), dtype=np.float32)
+
+    def embed_row(pos: int) -> None:
         try:
-            raw = np.asarray(embedder.embed(item.text), dtype=np.float64)
+            raw = np.asarray(embedder.embed(items[pos].text), dtype=np.float64)
         except EmbedderUnavailable as exc:
             exc.items_embedded = pos  # type: ignore[attr-defined]
-            exc.total_items = len(kb.items)  # type: ignore[attr-defined]
+            exc.total_items = len(items)  # type: ignore[attr-defined]
             raise
         if raw.shape != (dim,):
             raise ValueError(
-                f"embedder returned shape {raw.shape} for item {item.id}, expected ({dim},)"
+                f"embedder returned shape {raw.shape} for item {items[pos].id}, "
+                f"expected ({dim},)"
             )
         rows[pos] = _normalize(raw)
-    return DenseIndex(item_ids=[item.id for item in kb.items], vectors=rows, dim=dim)
+
+    call_each(embedder, embed_row, range(len(items)))
+    return DenseIndex(item_ids=[item.id for item in items], vectors=rows, dim=dim)
 
 
 def dense_retrieve(

@@ -13,13 +13,17 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 from .errors import EmptyFile, ProbeUnavailable
+from .fanout import call_each
 
 
 class ProbeClient(Protocol):
     """Greedy scorer: generates m tokens at temperature 0 and returns the
     sum over steps of the maximum vocabulary log-probability.  Must be
-    deterministic per (prompt, m).  ``thread_safe`` declares whether
-    concurrent calls are allowed; callers serialize when it is False.
+    deterministic per (prompt, m).  ``thread_safe`` declares that
+    concurrent calls are allowed.  A client that also sets
+    ``waits_on_io`` has its calls for one query overlapped on the fan-out
+    pool (:mod:`coderag.fanout`); any other client is called from one
+    thread at a time within a task.
     """
 
     thread_safe: bool
@@ -63,19 +67,23 @@ def probe_prompt(chunk_text: str, target_text: str) -> str:
 def score_chunks(
     context: Sequence[str], target_text: str, probe: ProbeClient, m: int
 ) -> list[ChunkScore]:
-    """One confidence score per chunk before the target, in file order."""
+    """One confidence score per chunk before the target, in file order.
+
+    The probe calls are independent and overlap when the probe waits on
+    I/O (:func:`coderag.fanout.call_each`).  A failure raises
+    :class:`ProbeUnavailable` naming the lowest failing chunk.
+    """
     if not context:
         raise ValueError("scoring needs at least one chunk before the target")
-    scores: list[ChunkScore] = []
-    for index, chunk in enumerate(context):
+
+    def score(index: int) -> float:
         try:
-            confidence = probe.greedy_score(probe_prompt(chunk, target_text), m)
-        except ProbeUnavailable:
-            raise
+            return probe.greedy_score(probe_prompt(context[index], target_text), m)
         except Exception as exc:
             raise ProbeUnavailable(f"probe failed on chunk {index}: {exc}") from exc
-        scores.append(ChunkScore(chunk_index=index, confidence=confidence))
-    return scores
+
+    confidences = call_each(probe, score, range(len(context)))
+    return [ChunkScore(chunk_index=i, confidence=c) for i, c in enumerate(confidences)]
 
 
 def select_top_chunks(scores: list[ChunkScore], g: int) -> list[int]:

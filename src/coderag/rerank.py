@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Protocol, Sequence, TypeVar
 
 from .errors import InvalidPickReply, PickerUnavailable
+from .fanout import call_each
 from .kb import CodeKnowledgeBase
 from .retrieve import RetrievalList
 
@@ -32,7 +33,11 @@ class PickerClient(Protocol):
     ``pick`` returns a 0-based index into ``window``.  An unparsable or
     out-of-window reply may surface as :class:`InvalidPickReply` or as an
     out-of-range integer; either way the engine retries once and then
-    falls back to window position 0.
+    falls back to window position 0.  ``thread_safe`` declares that
+    concurrent calls are allowed.  A client that also sets
+    ``waits_on_io`` has the groups of each internal tournament layer
+    picked at once on the fan-out pool (:mod:`coderag.fanout`); any other
+    client is called from one thread at a time within a task.
     """
 
     thread_safe: bool
@@ -123,10 +128,11 @@ class _Tournament:
         self.layers: list[list[int | None]] = []
         values: list[int | None] = self.leaf_winner
         while len(values) > 1:
-            layer = [
-                self._pick_group([v for v in values[g : g + self.w] if v is not None])
+            groups = [
+                [v for v in values[g : g + self.w] if v is not None]
                 for g in range(0, len(values), self.w)
             ]
+            layer = self._pick_layer(groups)
             self.layers.append(layer)
             values = layer
 
@@ -168,27 +174,43 @@ class _Tournament:
         return self._pick_group(candidates)
 
     def _pick_group(self, candidates: list[int]) -> int | None:
-        if not candidates:
-            return None
-        if len(candidates) == 1:
-            return candidates[0]
-        return self._call_picker(candidates)
+        if len(candidates) < 2:
+            return candidates[0] if candidates else None
+        return self._record(self._decide(candidates))
 
-    def _call_picker(self, candidates: list[int]) -> int:
+    def _pick_layer(self, groups: list[list[int]]) -> list[int | None]:
+        """The winner of each group.  The groups are independent, so their
+        picker calls may overlap; counts and trace events are recorded on
+        this thread, in group order, exactly as if the groups ran one by
+        one."""
+        contested = [group for group in groups if len(group) > 1]
+        decisions = iter(call_each(self.picker, self._decide, contested))
+        return [
+            self._record(next(decisions)) if len(group) > 1 else self._pick_group(group)
+            for group in groups
+        ]
+
+    def _record(self, decision: tuple[int, int, PickEvent]) -> int:
+        winner, calls, event = decision
+        self.picker_calls += calls
+        self.trace.append(event)
+        return winner
+
+    def _decide(self, candidates: list[int]) -> tuple[int, int, PickEvent]:
+        """(winner, picker calls made, trace event) for one window.  Reads
+        no state that picks change, so windows may be decided at once."""
         window_texts = [self.texts[p] for p in candidates]
         window_ids = tuple(self.ids[p] for p in candidates)
-        for attempt in range(2):
-            self.picker_calls += 1
+        for calls in (1, 2):
             try:
                 reply = self.picker.pick(self.query_text, window_texts)
             except InvalidPickReply:
                 reply = None
             if isinstance(reply, int) and 0 <= reply < len(candidates):
-                self.trace.append(PickEvent(window_ids, self.ids[candidates[reply]]))
-                return candidates[reply]
+                winner = candidates[reply]
+                return winner, calls, PickEvent(window_ids, self.ids[winner])
         # Two invalid replies: deterministic fallback to window position 0.
-        self.trace.append(PickEvent(window_ids, self.ids[candidates[0]], fallback=True))
-        return candidates[0]
+        return candidates[0], 2, PickEvent(window_ids, self.ids[candidates[0]], fallback=True)
 
 
 def heap_rerank(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+import threading
 import urllib.error
 import urllib.request
 from importlib import resources
@@ -31,6 +32,7 @@ from .errors import (
     PickerUnavailable,
     ProbeUnavailable,
 )
+from .fanout import FANOUT_WIDTH
 
 PROTOCOL_VERSION = 1
 REQUEST_TYPES = ("generate", "score", "embed", "chat")
@@ -39,6 +41,10 @@ PICK_MAX_TOKENS = 16  # a pick reply is one short selection like "[C] = 2"
 
 _PICK_RE = re.compile(r"\[C\]\s*=\s*(\d+)")
 _INT_RE = re.compile(r"\b(\d+)\b")
+
+# Wire requests in flight in this process, whichever thread sends them:
+# fan-out and ``evaluate --jobs`` together stay within the fan-out width.
+_IN_FLIGHT = threading.BoundedSemaphore(FANOUT_WIDTH)
 
 
 class WireError(CodeRagError):
@@ -96,7 +102,8 @@ def post_request(endpoint: str, payload: dict, timeout: float) -> dict:
 
 
 class _WireClient:
-    thread_safe = False  # one shared HTTP endpoint; callers serialize
+    thread_safe = True  # no state shared between calls but the learned dimension
+    waits_on_io = True  # each call blocks on the endpoint; independent ones overlap
 
     def __init__(self, endpoint: str, timeout: float = DEFAULT_TIMEOUT_SECONDS):
         self.endpoint = endpoint
@@ -104,7 +111,8 @@ class _WireClient:
 
     def _call(self, request_type: str, **fields) -> dict:
         payload = {"version": PROTOCOL_VERSION, "type": request_type, **fields}
-        return post_request(self.endpoint, payload, self.timeout)
+        with _IN_FLIGHT:
+            return post_request(self.endpoint, payload, self.timeout)
 
 
 class WireProbeClient(_WireClient):
@@ -128,6 +136,7 @@ class WireEmbedderClient(_WireClient):
     def __init__(self, endpoint: str, timeout: float = DEFAULT_TIMEOUT_SECONDS):
         super().__init__(endpoint, timeout)
         self._dim: int | None = None
+        self._dim_lock = threading.Lock()
 
     def embed(self, text: str) -> list[float]:
         try:
@@ -135,12 +144,13 @@ class WireEmbedderClient(_WireClient):
             vector = [float(v) for v in reply["embedding"]]
         except (WireError, KeyError, TypeError, ValueError) as exc:
             raise EmbedderUnavailable(str(exc)) from exc
-        if self._dim is None:
-            self._dim = len(vector)
-        elif len(vector) != self._dim:
-            raise EmbedderUnavailable(
-                f"dimension changed: got {len(vector)}, expected {self._dim}"
-            )
+        with self._dim_lock:
+            if self._dim is None:
+                self._dim = len(vector)
+            elif len(vector) != self._dim:
+                raise EmbedderUnavailable(
+                    f"dimension changed: got {len(vector)}, expected {self._dim}"
+                )
         return vector
 
     def dimension(self) -> int:

@@ -19,8 +19,15 @@ import coderag.wire
 from coderag.clients import EchoGenerator, OverlapPicker, StubEmbedder, StubProbe
 from coderag.pipeline import CompletionTask, PipelineClients, RepoIndex
 from coderag.retrieve import RetrievalPath
+from coderag.wire import (
+    WireEmbedderClient,
+    WireGeneratorClient,
+    WirePickerClient,
+    WireProbeClient,
+)
 
-from .conftest import MINI_PREFIX
+from .conftest import MINI_PREFIX, REPO10_FILES, write_repo
+from .test_wire import StubServer
 
 OBSERVED_ARGUMENTS = {
     coderag.pipeline.merge_paths: ("j", "dataflow_hits", "sparse_hits", "dense_hits"),
@@ -75,3 +82,41 @@ def test_traced_completion_fires_pipeline_hooks(mini_repo):
     }
     assert per_op_spans <= set(op.calls)
     assert {"retrieve.dedup_drops", "pipeline.snippets_dropped"} <= set(op.extra)
+
+
+def test_traced_wire_completion_adds_up_with_calls_on_worker_threads(tmp_path):
+    repo = write_repo(tmp_path / "repo", REPO10_FILES)
+    prefix = "\n".join(
+        ["from pkg.config import parse_config"]
+        + [f"rate_{i} = DEFAULTS['rate'] * {i}" for i in range(18)]
+        + ["cfg = parse_con"]
+    )
+    task = CompletionTask("wire-1", str(repo), "main.py", prefix, prefix.count("\n") + 1)
+    server = StubServer()
+    try:
+        ep = server.endpoint
+        trace = tracer.Tracer(enabled=True)
+        clients = tracer.proxy_clients(
+            PipelineClients(
+                WireProbeClient(ep), WireEmbedderClient(ep), WirePickerClient(ep),
+                WireGeneratorClient(ep),
+            ),
+            trace,
+        )
+        with tracer.Hooks(trace, workloads.OBSERVERS):
+            index = RepoIndex.build(repo, clients.embedder)
+            trace.begin("op-0")
+            result = coderag.pipeline.complete(task, index, clients)
+            op = trace.end()
+    finally:
+        server.close()
+
+    probes = sorted(
+        (s for s in trace.spans if s.op == "op-0" and s.name == "clients.probe"),
+        key=lambda s: s.start_ns,
+    )
+    assert len(probes) == op.calls["clients.probe"] == 6  # 20 lines in chunks of 3
+    assert any(b.start_ns < a.end_ns for a, b in zip(probes, probes[1:]))  # overlapped
+    root = next(s for s in trace.spans if s.op == "op-0" and s.name == tracer.ROOT_SPAN)
+    assert sum(trace.self_times()["op-0"].values()) == root.duration_ns
+    assert op.calls["clients.pick"] == result.rerank_outcome.picker_calls > 0

@@ -4,11 +4,16 @@ exercised against an in-process HTTP server."""
 from __future__ import annotations
 
 import json
+import re
 import threading
+import time
+import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from coderag.cli import main
+from coderag.clients import StubEmbedder, StubProbe
 from coderag.config import RunConfig
 from coderag.errors import (
     EmbedderUnavailable,
@@ -16,6 +21,7 @@ from coderag.errors import (
     PickerUnavailable,
     ProbeUnavailable,
 )
+from coderag.fanout import FANOUT_WIDTH
 from coderag.wire import (
     PROTOCOL_VERSION,
     WireEmbedderClient,
@@ -26,6 +32,8 @@ from coderag.wire import (
     parse_pick_reply,
     render_rerank_prompt,
 )
+
+from .conftest import REPO10_FILES, write_repo
 
 
 class StubServer:
@@ -83,6 +91,41 @@ class StubServer:
                 "text": f"gen<{payload['max_tokens']}@{payload['temperature']}>",
             }
         return {}
+
+
+class ModelServer(StubServer):
+    """Replies that depend on the request's content, each after a short
+    wait; records the most requests it was handling at once."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.in_flight = self.peak = 0
+        super().__init__()
+
+    def respond(self, payload: dict) -> dict:
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(0.003)
+            return {"version": PROTOCOL_VERSION, **self._answer(payload)}
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+    @staticmethod
+    def _answer(payload: dict) -> dict:
+        kind = payload["type"]
+        if kind == "score":
+            return {"token_logprobs": [StubProbe().greedy_score(payload["prompt"], 1)]}
+        if kind == "embed":
+            return {"embedding": StubEmbedder(dim=8).embed(payload["text"])}
+        prompt = payload["prompt"]
+        if kind == "chat":
+            window = len(re.findall(r"^\[\d+\]$", prompt, re.M))
+            return {"text": f"[C] = {1 + zlib.crc32(prompt.encode()) % window}"}
+        lines = prompt.split("\n")
+        return {"text": lines[0] + lines[-1]}
 
 
 @pytest.fixture
@@ -168,3 +211,37 @@ def test_parse_pick_reply_cases():
         parse_pick_reply("[C] = 9", 3)
     with pytest.raises(InvalidPickReply):
         parse_pick_reply("none of them", 3)
+
+
+# --- many threads, one cap ------------------------------------------------------
+
+
+def test_evaluate_jobs_matches_serial_and_caps_requests_in_flight(tmp_path, capsys):
+    repo = write_repo(tmp_path / "repo", REPO10_FILES)
+    body = "\n".join(f"rate_{i} = DEFAULTS['rate'] * {i}" for i in range(18))
+    dataset = tmp_path / "tasks.jsonl"
+    dataset.write_text("".join(
+        json.dumps({
+            "task_id": f"t{k}", "repo": str(repo), "file": "main.py",
+            "prefix": f"from pkg.config import parse_config\n{body}\ncfg = parse_con{k}",
+            "ground_truth": "cfg = parse_config(path)",
+        }) + "\n"
+        for k in range(6)
+    ))
+    srv = ModelServer()
+    try:
+        flags = [
+            f"--{kind}-endpoint={srv.endpoint}"
+            for kind in ("probe", "embed", "pick", "generate")
+        ]
+        reports = []
+        for jobs in (1, 2):
+            out = tmp_path / f"report-{jobs}.json"
+            argv = ["evaluate", "--dataset", str(dataset), "--report", str(out)]
+            assert main([*argv, "--jobs", str(jobs), *flags]) == 0
+            reports.append(out.read_text())
+    finally:
+        srv.close()
+    assert reports[0] == reports[1]
+    assert not any(task["failed"] for task in json.loads(reports[0])["per_task"])
+    assert 1 < srv.peak <= FANOUT_WIDTH
