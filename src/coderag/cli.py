@@ -14,7 +14,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from . import config as config_mod
 from .config import RunConfig, load_config, make_clients
 from .dataflow import build_dataflow_graph, to_dot
 from .distill import (
@@ -29,9 +28,11 @@ from .evaluation import (
     evaluate,
     format_report,
     load_tasks,
+    require_ground_truth,
     save_report,
     task_from_record,
 )
+from .fanout import FANOUT_WIDTH
 from .pipeline import CompletionTask, RepoIndex, complete, dump_artifacts
 from .retrieve import ALL_PATHS
 
@@ -139,8 +140,9 @@ def _indexes_for(tasks, kb_dir: str | None, embedder) -> dict[str, RepoIndex]:
     return out
 
 
-def _run_tasks(tasks, indexes, clients, cfg: RunConfig) -> dict[str, object]:
-    """Generated text (or the raised exception) per task id."""
+def _run_tasks(tasks, indexes, clients, cfg: RunConfig) -> list:
+    """The result of ``complete`` (or the exception it raised) per task,
+    in task order."""
 
     def one(task: CompletionTask):
         try:
@@ -148,13 +150,13 @@ def _run_tasks(tasks, indexes, clients, cfg: RunConfig) -> dict[str, object]:
         except Exception as exc:
             return exc
 
-    jobs = cfg.jobs if config_mod.clients_are_thread_safe(clients) else 1
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, tasks))
-    else:
-        results = [one(task) for task in tasks]
-    return {task.task_id: res for task, res in zip(tasks, results)}
+    # Tasks overlap at the fan-out width.  Every client make_clients builds
+    # allows concurrent calls; wire requests are capped at this width, so
+    # more task threads would only queue; and stub tasks hold the GIL, so
+    # 2 and 4 threads took the same time (300 tasks, 2-vCPU host).  The
+    # pool is not the fan-out pool, whose calls a task waits on.
+    with ThreadPoolExecutor(max_workers=FANOUT_WIDTH) as pool:
+        return list(pool.map(one, tasks))
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -163,12 +165,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not tasks:
         print("error: dataset is empty", file=sys.stderr)
         return EXIT_USAGE
+    require_ground_truth(tasks)  # before any model call
     clients = make_clients(cfg)
     indexes = _indexes_for(tasks, args.kb_dir, clients.embedder)
-    outcomes = _run_tasks(tasks, indexes, clients, cfg)
+    # By position: task ids need not be unique.
+    outcomes = iter(_run_tasks(tasks, indexes, clients, cfg))
 
     def run(task: CompletionTask) -> str:
-        res = outcomes[task.task_id]
+        res = next(outcomes)  # evaluate calls run once per task, in order
         if isinstance(res, Exception):
             raise res
         return res.generated

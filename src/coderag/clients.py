@@ -46,8 +46,6 @@ class StubProbe:
     interface compatibility and ignored.
     """
 
-    thread_safe = True
-
     def __init__(self, target_text: str = ""):
         self._target_ids = identifier_set(target_text)
 
@@ -61,8 +59,6 @@ class StubEmbedder:
     Hashing goes through sha256 so vectors are stable across processes;
     texts with no tokens embed to the zero vector.
     """
-
-    thread_safe = True
 
     def __init__(self, dim: int = 64, seed: int = 0):
         if dim < 1:
@@ -88,8 +84,6 @@ class OverlapPicker:
     go to the earliest window position.  Subtokens rather than whole
     identifiers so a half-typed name still matches its completion."""
 
-    thread_safe = True
-
     def pick(self, query_text: str, window: Sequence[str]) -> int:
         query_tokens = set(subtokens(query_text))
         best_idx = 0
@@ -104,8 +98,6 @@ class OverlapPicker:
 class EchoGenerator:
     """Deterministic generator: returns a fixed completion, or echoes the
     prompt's final (cursor) line when none is configured."""
-
-    thread_safe = True
 
     def __init__(self, fixed_completion: str | None = None):
         self._fixed = fixed_completion

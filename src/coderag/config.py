@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .clients import EchoGenerator, OverlapPicker, PipelineClients, StubEmbedder, StubProbe
@@ -48,7 +48,6 @@ class RunConfig:
     rerank_template_path: str = ""
     embed_dim: int = 64
     seed: int = 0
-    jobs: int = field(default_factory=lambda: os.cpu_count() or 1)
 
     def __post_init__(self) -> None:
         for name in ("f", "m", "g", "j", "u", "w"):
@@ -147,11 +146,4 @@ def make_clients(config: RunConfig) -> PipelineClients:
         generator=(
             EchoGenerator() if gen_ep == STUB_ENDPOINT else WireGeneratorClient(gen_ep)
         ),
-    )
-
-
-def clients_are_thread_safe(clients: PipelineClients) -> bool:
-    return all(
-        getattr(c, "thread_safe", False)
-        for c in (clients.probe, clients.embedder, clients.picker, clients.generator)
     )

@@ -29,12 +29,10 @@ _MAGIC = b"CRDV"
 class EmbedderClient(Protocol):
     """Deterministic text encoder; all vectors share one dimension.
 
-    ``thread_safe`` declares that concurrent calls are allowed.  A client
-    that also sets ``waits_on_io`` has the index embeds overlapped on the
-    fan-out pool (:mod:`coderag.fanout`).
+    Must allow concurrent calls: ``coderag evaluate`` runs tasks on
+    several threads.  A client that sets ``waits_on_io`` has the index
+    embeds overlapped on the fan-out pool (:mod:`coderag.fanout`).
     """
-
-    thread_safe: bool
 
     def embed(self, text: str) -> list[float]: ...
 
@@ -44,14 +42,13 @@ class EmbedderClient(Protocol):
 @dataclass
 class DenseIndex:
     item_ids: list[str]
-    vectors: np.ndarray  # float32, shape (len(item_ids), dim), rows unit or zero
+    # float64 holding float32-rounded values, the precision of dense.vec;
+    # shape (len(item_ids), dim), rows unit or zero.  Scoring runs in float64.
+    vectors: np.ndarray
     dim: int
 
     def __post_init__(self) -> None:
-        # Scoring runs in float64; the widened copy is kept so that a query
-        # does not pay for converting the whole matrix again.
-        self._vectors64 = self.vectors.astype(np.float64)
-        norms = np.linalg.norm(self._vectors64, axis=1)
+        norms = np.linalg.norm(self.vectors, axis=1)
         active = norms > 0.0
         if not np.all((np.abs(norms - 1.0) <= 1e-6) | ~active):
             raise ValueError("stored vectors must be unit-normalized or zero")
@@ -76,7 +73,7 @@ def build_dense_index(kb: CodeKnowledgeBase, embedder: EmbedderClient) -> DenseI
     """
     dim = embedder.dimension()
     items = kb.items
-    rows = np.zeros((len(items), dim), dtype=np.float32)
+    rows = np.zeros((len(items), dim), dtype=np.float64)
 
     def embed_row(pos: int) -> None:
         try:
@@ -113,7 +110,7 @@ def dense_retrieve(
     q = _normalize(raw).astype(np.float64)
     if not q.any():
         return []
-    scores = index._vectors64 @ q
+    scores = index.vectors @ q
     active = index._active_pos
     return top_j(index.item_ids, active, scores[active], j)
 
@@ -152,7 +149,8 @@ def load_dense_index(kb_dir: str | Path) -> DenseIndex:
         item_ids = json.loads(blob[offset : offset + table_len].decode("utf-8"))
         if len(item_ids) != count:
             raise IndexFormatError(path, "is truncated or inconsistent")
-        return DenseIndex(item_ids=item_ids, vectors=vectors.reshape(count, dim).copy(), dim=dim)
+        matrix = vectors.reshape(count, dim).astype(np.float64)
+        return DenseIndex(item_ids=item_ids, vectors=matrix, dim=dim)
     except (struct.error, ValueError) as exc:
         # Short reads from a truncated file, an undecodable id table, or
         # stored rows that are not unit vectors.

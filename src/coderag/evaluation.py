@@ -154,19 +154,27 @@ def score_pair(task_id: str, generated: str, ground_truth: str) -> TaskScore:
     )
 
 
+def require_ground_truth(dataset: Sequence[CompletionTask]) -> None:
+    """Raise ``ValueError`` naming the first task with no ground truth."""
+    for task in dataset:
+        if task.ground_truth is None:
+            raise ValueError(f"task {task.task_id} has no ground truth")
+
+
 def evaluate(
     dataset: Sequence[CompletionTask], run: Callable[[CompletionTask], str]
 ) -> MetricsReport:
     """Score ``run`` over the dataset; aggregates are arithmetic means.
 
-    A task whose runner raises is flagged failed and scores 0 everywhere.
+    ``run`` is called once per task, in dataset order, and only after
+    every task is known to have a ground truth.  A task whose runner
+    raises is flagged failed and scores 0 everywhere.
     """
     if not dataset:
         raise ValueError("dataset is empty")
+    require_ground_truth(dataset)
     per_task: list[TaskScore] = []
     for task in dataset:
-        if task.ground_truth is None:
-            raise ValueError(f"task {task.task_id} has no ground truth")
         try:
             generated = run(task)
         except Exception as exc:

@@ -56,7 +56,8 @@ class GeneratorClient(Protocol):
     """Completion model; deterministic at temperature 0.  ``count_tokens``
     is optional — prompt assembly falls back to an approximate counter
     with a safety margin when it is missing.  ``config`` supplies
-    ``max_new_tokens`` and ``temperature``."""
+    ``max_new_tokens`` and ``temperature``.  Must allow concurrent calls:
+    ``coderag evaluate`` runs tasks on several threads."""
 
     def generate(self, prompt: str, config: RunConfig) -> str: ...
 

@@ -19,14 +19,12 @@ from .fanout import call_each
 class ProbeClient(Protocol):
     """Greedy scorer: generates m tokens at temperature 0 and returns the
     sum over steps of the maximum vocabulary log-probability.  Must be
-    deterministic per (prompt, m).  ``thread_safe`` declares that
-    concurrent calls are allowed.  A client that also sets
-    ``waits_on_io`` has its calls for one query overlapped on the fan-out
-    pool (:mod:`coderag.fanout`); any other client is called from one
-    thread at a time within a task.
+    deterministic per (prompt, m), and must allow concurrent calls:
+    ``coderag evaluate`` runs tasks on several threads.  A client that
+    sets ``waits_on_io`` has its calls for one query overlapped on the
+    fan-out pool (:mod:`coderag.fanout`); any other client is called from
+    one thread at a time within a task.
     """
-
-    thread_safe: bool
 
     def greedy_score(self, prompt: str, m: int) -> float: ...
 

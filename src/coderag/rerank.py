@@ -33,14 +33,12 @@ class PickerClient(Protocol):
     ``pick`` returns a 0-based index into ``window``.  An unparsable or
     out-of-window reply may surface as :class:`InvalidPickReply` or as an
     out-of-range integer; either way the engine retries once and then
-    falls back to window position 0.  ``thread_safe`` declares that
-    concurrent calls are allowed.  A client that also sets
-    ``waits_on_io`` has the groups of each internal tournament layer
+    falls back to window position 0.  Must allow concurrent calls:
+    ``coderag evaluate`` runs tasks on several threads.  A client that
+    sets ``waits_on_io`` has the groups of each internal tournament layer
     picked at once on the fan-out pool (:mod:`coderag.fanout`); any other
     client is called from one thread at a time within a task.
     """
-
-    thread_safe: bool
 
     def pick(self, query_text: str, window: Sequence[str]) -> int: ...
 

@@ -43,7 +43,8 @@ _PICK_RE = re.compile(r"\[C\]\s*=\s*(\d+)")
 _INT_RE = re.compile(r"\b(\d+)\b")
 
 # Wire requests in flight in this process, whichever thread sends them:
-# fan-out and ``evaluate --jobs`` together stay within the fan-out width.
+# fan-out and the task threads of ``coderag evaluate`` together stay
+# within the fan-out width.
 _IN_FLIGHT = threading.BoundedSemaphore(FANOUT_WIDTH)
 
 
@@ -102,7 +103,6 @@ def post_request(endpoint: str, payload: dict, timeout: float) -> dict:
 
 
 class _WireClient:
-    thread_safe = True  # no state shared between calls but the learned dimension
     waits_on_io = True  # each call blocks on the endpoint; independent ones overlap
 
     def __init__(self, endpoint: str, timeout: float = DEFAULT_TIMEOUT_SECONDS):

@@ -244,6 +244,57 @@ def test_evaluate_builds_index_per_repo(tmp_path, capsys):
     assert "EM" in capsys.readouterr().out
 
 
+def test_evaluate_scores_tasks_that_share_an_id_by_position(indexed_mini, tmp_path, capsys):
+    repo, idx = indexed_mini
+    # No ids, so the ReccEval adapter gives both tasks the id "?".  The
+    # echo generator returns each prefix's last line, its ground truth.
+    dataset = tmp_path / "tasks.jsonl"
+    dataset.write_text("".join(
+        json.dumps({"repo": str(repo), "file": "main.py", "input": prefix, "gt": last})
+        + "\n"
+        for prefix, last in [
+            (MINI_PREFIX, "    cfg = parse_conf"),
+            ("import util\n\n\ndef load():\n    n = load_ut", "    n = load_ut"),
+        ]
+    ))
+    report_path = tmp_path / "report.json"
+    assert run_cli(
+        "evaluate", "--dataset", str(dataset), "--adapter", "recceval",
+        "--kb-dir", str(idx), "--report", str(report_path),
+    ) == 0
+    per_task = json.loads(report_path.read_text())["per_task"]
+    assert [t["task_id"] for t in per_task] == ["?", "?"]
+    assert [(t["em"], t["es"]) for t in per_task] == [(1, 1.0), (1, 1.0)]
+
+
+def test_evaluate_missing_ground_truth_exits_2_before_any_model_call(
+    indexed_mini, tmp_path, capsys, monkeypatch
+):
+    repo, idx = indexed_mini
+    dataset = write_dataset(tmp_path / "tasks.jsonl", repo)
+    records = [json.loads(line) for line in dataset.read_text().splitlines()]
+    del records[-1]["ground_truth"]
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in records))
+    calls = []
+    monkeypatch.setattr("coderag.cli.complete", lambda *args: calls.append(args))
+    code = run_cli("evaluate", "--dataset", str(dataset), "--kb-dir", str(idx))
+    assert code == 2
+    assert "task d2 has no ground truth" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_jobs_flag_and_config_key_are_gone(indexed_mini, tmp_path, capsys):
+    repo, idx = indexed_mini
+    dataset = write_dataset(tmp_path / "tasks.jsonl", repo)
+    argv = ["evaluate", "--dataset", str(dataset), "--kb-dir", str(idx)]
+    assert run_cli(*argv, "--jobs", "2") == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"version": 1, "jobs": 2}))
+    assert run_cli(*argv, "--config", str(config)) == 2
+    assert "unknown config keys: ['jobs']" in capsys.readouterr().err
+
+
 def test_distill_cli_round_trip(tmp_path, capsys):
     lists = tmp_path / "lists.jsonl"
     rows = []

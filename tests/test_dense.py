@@ -22,8 +22,6 @@ from .test_sparse import kb_from_texts
 class FakeEmbedder:
     """Maps texts to preset vectors; unknown texts embed to zero."""
 
-    thread_safe = True
-
     def __init__(self, mapping: dict[str, list[float]], dim: int):
         self._mapping = mapping
         self._dim = dim
@@ -135,8 +133,6 @@ def test_scale_invariance():
     base = StubEmbedder(dim=16, seed=3)
 
     class Scaled:
-        thread_safe = True
-
         def __init__(self, factor):
             self.factor = factor
 
@@ -168,8 +164,6 @@ def test_round_trip(tmp_path):
 
 def test_embedder_failure_aborts_build_with_progress():
     class DiesOnThird:
-        thread_safe = True
-
         def __init__(self):
             self.calls = 0
 

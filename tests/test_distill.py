@@ -24,8 +24,6 @@ from coderag.errors import PickerUnavailable
 class ArgmaxPicker:
     """Deterministic: fixed preference by snippet text."""
 
-    thread_safe = True
-
     def __init__(self, scores: dict[str, float]):
         self.scores = scores
 
@@ -35,8 +33,6 @@ class ArgmaxPicker:
 
 class UniformPicker:
     """Independent uniform choice per call, from its own seeded stream."""
-
-    thread_safe = False
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
@@ -115,8 +111,6 @@ def test_different_seed_changes_subsets(tmp_path):
 
 def test_vote_on_subset_no_consensus_returns_none():
     class Cycler:
-        thread_safe = True
-
         def __init__(self):
             self.i = -1
 

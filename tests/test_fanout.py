@@ -30,7 +30,6 @@ class SlowClient:
     call, so overlapped calls finish out of order.  Tracks the calls
     running at once."""
 
-    thread_safe = True
     waits_on_io = True
 
     def __init__(self, seed: int = 0, max_delay: float = 0.002):

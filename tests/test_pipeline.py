@@ -28,8 +28,6 @@ from .prompt_oracle import linear_assemble_prompt
 class WordCountGenerator:
     """count_tokens == whitespace word count; generation echoes a tag."""
 
-    thread_safe = True
-
     def generate(self, prompt, config):
         return "gen"
 
@@ -38,8 +36,6 @@ class WordCountGenerator:
 
 
 class NoTokenizerGenerator:
-    thread_safe = True
-
     def generate(self, prompt, config):
         return "gen"
 

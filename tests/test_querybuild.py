@@ -21,8 +21,6 @@ from coderag.querybuild import (
 class MapProbe:
     """Deterministic probe backed by an explicit prompt -> score table."""
 
-    thread_safe = True
-
     def __init__(self, table: dict[str, float]):
         self.table = table
         self.calls = 0
@@ -103,8 +101,6 @@ def test_equal_chunks_tie_to_lower_index():
 
 def test_probe_failure_is_wrapped():
     class Exploding:
-        thread_safe = True
-
         def greedy_score(self, prompt, m):
             raise RuntimeError("socket closed")
 

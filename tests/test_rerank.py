@@ -23,8 +23,6 @@ from coderag.retrieve import RetrievalCandidate, RetrievalList, RetrievalPath
 class OrderPicker:
     """Picker induced by a strict total order: text -> score argmax."""
 
-    thread_safe = True
-
     def __init__(self, scores: dict[str, float]):
         self.scores = scores
         self.calls = 0
@@ -145,8 +143,6 @@ def test_duplicate_items_rejected():
 class GarbagePicker:
     """Always answers out of range; the engine must retry then fall back."""
 
-    thread_safe = True
-
     def __init__(self):
         self.calls = 0
 
@@ -157,8 +153,6 @@ class GarbagePicker:
 
 class FlakyPicker:
     """First reply invalid, retry parses; exercises the single-retry path."""
-
-    thread_safe = True
 
     def __init__(self):
         self.calls = 0
@@ -187,8 +181,6 @@ def test_flaky_picker_retries_once_then_succeeds():
 
 def test_unreachable_picker_degrades_to_input_order():
     class Dead:
-        thread_safe = True
-
         def pick(self, query_text, window):
             raise PickerUnavailable("connection refused")
 
@@ -226,8 +218,6 @@ def test_rerank_resolves_texts_and_truncates():
     seen: list[list[str]] = []
 
     class SpyPicker:
-        thread_safe = True
-
         def pick(self, query_text, window):
             seen.append(list(window))
             return 0

@@ -14,14 +14,16 @@ import pytest
 
 from coderag.cli import main
 from coderag.clients import StubEmbedder, StubProbe
-from coderag.config import RunConfig
+from coderag.config import RunConfig, make_clients
 from coderag.errors import (
     EmbedderUnavailable,
     InvalidPickReply,
     PickerUnavailable,
     ProbeUnavailable,
 )
+from coderag.evaluation import evaluate, load_tasks, save_report
 from coderag.fanout import FANOUT_WIDTH
+from coderag.pipeline import RepoIndex, complete
 from coderag.wire import (
     PROTOCOL_VERSION,
     WireEmbedderClient,
@@ -60,7 +62,10 @@ class StubServer:
                 self.wfile.write(body)
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # A short poll, because close() waits for the next one.
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         self.thread.start()
 
     @property
@@ -216,7 +221,7 @@ def test_parse_pick_reply_cases():
 # --- many threads, one cap ------------------------------------------------------
 
 
-def test_evaluate_jobs_matches_serial_and_caps_requests_in_flight(tmp_path, capsys):
+def test_evaluate_matches_one_task_at_a_time_and_caps_requests_in_flight(tmp_path, capsys):
     repo = write_repo(tmp_path / "repo", REPO10_FILES)
     body = "\n".join(f"rate_{i} = DEFAULTS['rate'] * {i}" for i in range(18))
     dataset = tmp_path / "tasks.jsonl"
@@ -229,19 +234,22 @@ def test_evaluate_jobs_matches_serial_and_caps_requests_in_flight(tmp_path, caps
         for k in range(6)
     ))
     srv = ModelServer()
+    kinds = ("probe", "embed", "pick", "generate")
     try:
-        flags = [
-            f"--{kind}-endpoint={srv.endpoint}"
-            for kind in ("probe", "embed", "pick", "generate")
-        ]
-        reports = []
-        for jobs in (1, 2):
-            out = tmp_path / f"report-{jobs}.json"
-            argv = ["evaluate", "--dataset", str(dataset), "--report", str(out)]
-            assert main([*argv, "--jobs", str(jobs), *flags]) == 0
-            reports.append(out.read_text())
+        flags = [f"--{kind}-endpoint={srv.endpoint}" for kind in kinds]
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--dataset", str(dataset), "--report", str(report), *flags]) == 0
+        peak = srv.peak
+
+        # The same tasks, one at a time on this thread.
+        cfg = RunConfig(**{f"{kind}_endpoint": srv.endpoint for kind in kinds})
+        clients = make_clients(cfg)
+        tasks = load_tasks(dataset)
+        index = RepoIndex.build(tasks[0].repo_root, clients.embedder)
+        expected = tmp_path / "expected.json"
+        save_report(evaluate(tasks, lambda t: complete(t, index, clients, cfg).generated), expected)
     finally:
         srv.close()
-    assert reports[0] == reports[1]
-    assert not any(task["failed"] for task in json.loads(reports[0])["per_task"])
-    assert 1 < srv.peak <= FANOUT_WIDTH
+    assert report.read_text() == expected.read_text()
+    assert not any(task["failed"] for task in json.loads(report.read_text())["per_task"])
+    assert 1 < peak <= FANOUT_WIDTH
