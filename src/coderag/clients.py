@@ -8,6 +8,7 @@ desk scale; remote clients live in :mod:`coderag.wire`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass
@@ -22,6 +23,12 @@ if TYPE_CHECKING:
     from .rerank import PickerClient
 
 _APPROX_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+
+# Bounded memo tables of the stub clients.  ``functools.lru_cache`` is
+# safe to call from several threads; a race can only compute one entry
+# twice, with the same result.
+TOKEN_SLOT_CACHE_SIZE = 1 << 15  # (seed, dim, token) -> (bucket, sign)
+PICK_TOKENS_CACHE_SIZE = 256  # text -> subtoken set; a task reads at most 2j+2 texts
 
 
 @dataclass
@@ -71,12 +78,24 @@ class StubEmbedder:
 
     def embed(self, text: str) -> list[float]:
         vec = [0.0] * self._dim
+        seed, dim = self._seed, self._dim
         for token in subtokens(text):
-            digest = hashlib.sha256(f"{self._seed}:{token}".encode("utf-8")).digest()
-            bucket = int.from_bytes(digest[:4], "big") % self._dim
-            sign = 1.0 if digest[4] & 1 == 0 else -1.0
+            bucket, sign = _token_slot(seed, dim, token)
             vec[bucket] += sign
         return vec
+
+
+@functools.lru_cache(maxsize=TOKEN_SLOT_CACHE_SIZE)
+def _token_slot(seed: int, dim: int, token: str) -> tuple[int, float]:
+    """The vector component one token adds to, and its sign."""
+    digest = hashlib.sha256(f"{seed}:{token}".encode("utf-8")).digest()
+    bucket = int.from_bytes(digest[:4], "big") % dim
+    return bucket, 1.0 if digest[4] & 1 == 0 else -1.0
+
+
+@functools.lru_cache(maxsize=PICK_TOKENS_CACHE_SIZE)
+def _token_set(text: str) -> frozenset[str]:
+    return frozenset(subtokens(text))
 
 
 class OverlapPicker:
@@ -85,11 +104,11 @@ class OverlapPicker:
     identifiers so a half-typed name still matches its completion."""
 
     def pick(self, query_text: str, window: Sequence[str]) -> int:
-        query_tokens = set(subtokens(query_text))
+        query_tokens = _token_set(query_text)
         best_idx = 0
         best_score = -1
         for idx, text in enumerate(window):
-            score = len(set(subtokens(text)) & query_tokens)
+            score = len(_token_set(text) & query_tokens)
             if score > best_score:
                 best_idx, best_score = idx, score
         return best_idx

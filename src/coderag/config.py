@@ -17,12 +17,6 @@ from pathlib import Path
 
 from .clients import EchoGenerator, OverlapPicker, PipelineClients, StubEmbedder, StubProbe
 from .retrieve import ALL_PATHS
-from .wire import (
-    WireEmbedderClient,
-    WireGeneratorClient,
-    WirePickerClient,
-    WireProbeClient,
-)
 
 CONFIG_VERSION = 1
 STUB_ENDPOINT = "stub"
@@ -131,19 +125,23 @@ def make_clients(config: RunConfig) -> PipelineClients:
     if config.rerank_template_path:
         template = Path(config.rerank_template_path).read_text("utf-8")
 
+    if {probe_ep, embed_ep, pick_ep, gen_ep} != {STUB_ENDPOINT}:
+        # Imported only here, so an all-stub run never loads the HTTP stack.
+        from . import wire
+
     return PipelineClients(
-        probe=StubProbe() if probe_ep == STUB_ENDPOINT else WireProbeClient(probe_ep),
+        probe=StubProbe() if probe_ep == STUB_ENDPOINT else wire.WireProbeClient(probe_ep),
         embedder=(
             StubEmbedder(dim=config.embed_dim)
             if embed_ep == STUB_ENDPOINT
-            else WireEmbedderClient(embed_ep)
+            else wire.WireEmbedderClient(embed_ep)
         ),
         picker=(
             OverlapPicker()
             if pick_ep == STUB_ENDPOINT
-            else WirePickerClient(pick_ep, template=template)
+            else wire.WirePickerClient(pick_ep, template=template)
         ),
         generator=(
-            EchoGenerator() if gen_ep == STUB_ENDPOINT else WireGeneratorClient(gen_ep)
+            EchoGenerator() if gen_ep == STUB_ENDPOINT else wire.WireGeneratorClient(gen_ep)
         ),
     )

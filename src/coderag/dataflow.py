@@ -388,16 +388,22 @@ def _lex_tail_line(
 
 def build_dataflow_graph(file_text_up_to_cursor: str) -> DataflowGraph:
     """Graph over the prefix only; appending lines after the cursor can
-    never change it."""
+    never change it.  Raises :class:`GraphUnavailable` for a prefix that
+    is not text or nests too deeply to parse."""
     if not isinstance(file_text_up_to_cursor, str):
         raise GraphUnavailable("prefix is not text")
     lines = file_text_up_to_cursor.replace("\r\n", "\n").split("\n")
     while lines and lines[-1] == "":
         lines.pop()
 
-    tree, parsed_count = _longest_parsable(lines)
-    visitor = _PrefixVisitor()
-    visitor.visit_module(tree)
+    try:
+        tree, parsed_count = _longest_parsable(lines)
+        visitor = _PrefixVisitor()
+        visitor.visit_module(tree)
+    except RecursionError as exc:
+        # An expression nested thousands deep (``a+a+...``): the parser or
+        # the walk over its tree runs out of stack.
+        raise GraphUnavailable(f"prefix nests too deeply ({exc})") from exc
 
     bindings = list(visitor.bindings)
     uses = list(visitor.uses)

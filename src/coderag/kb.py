@@ -39,7 +39,8 @@ class ItemKind(str, Enum):
     CLASS_FUNCTION = "ClassFunction"
 
 
-@dataclass(frozen=True)
+# Slotted: one per indexed element, 30k in a 2,000-file repository.
+@dataclass(frozen=True, slots=True)
 class CodeKnowledgeItem:
     """One extracted repository element.
 
@@ -127,10 +128,14 @@ def item_id(file_path: str, line_span: tuple[int, int], kind: ItemKind) -> str:
 
 
 def parse_file(source_text: str, file_path: str) -> ast.Module:
-    """Parse one source file; raises :class:`ParseError` on failure."""
+    """Parse one source file; raises :class:`ParseError` on failure.
+
+    ``RecursionError`` is a failure too: CPython's parser raises it for an
+    expression nested a few thousand levels deep, such as ``a+a+...``.
+    """
     try:
         return ast.parse(source_text)
-    except (SyntaxError, ValueError) as exc:
+    except (SyntaxError, ValueError, RecursionError) as exc:
         raise ParseError(file_path, str(exc)) from exc
 
 

@@ -12,8 +12,10 @@ Two tokenizations live here because every other module needs one of them:
 
 from __future__ import annotations
 
+import functools
 import keyword
 import re
+from itertools import chain
 from typing import Iterator
 
 KEYWORDS = frozenset(keyword.kwlist)
@@ -29,6 +31,17 @@ _NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _NAME_CONT = _NAME_START | frozenset("0123456789")
 _DIGITS = frozenset("0123456789")
 
+# Distinct alphanumeric runs whose split is remembered.  A code base
+# repeats a small vocabulary, so most words are split once per process.
+SPLIT_CACHE_SIZE = 1 << 15
+
+
+@functools.lru_cache(maxsize=SPLIT_CACHE_SIZE)
+def _split_word(word: str) -> tuple[str, ...]:
+    if word.isdigit():
+        return (word,)
+    return tuple(part.lower() for part in _CAMEL_RE.findall(word))
+
 
 def subtokens(text: str) -> list[str]:
     """Split text into lowercase subtokens for sparse/dense retrieval.
@@ -37,14 +50,7 @@ def subtokens(text: str) -> list[str]:
     ``["http", "server"]``, digits are kept attached to their run
     (``utf8`` stays one token).
     """
-    out: list[str] = []
-    for word in _WORD_RE.findall(text):
-        if word.isdigit():
-            out.append(word)
-            continue
-        for part in _CAMEL_RE.findall(word):
-            out.append(part.lower())
-    return out
+    return list(chain.from_iterable(map(_split_word, _WORD_RE.findall(text))))
 
 
 def _skip_string(code: str, i: int) -> int:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import math
 import struct
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,11 +50,9 @@ class SparseIndex:
         return len(self.item_ids)
 
 
-def _term_counts(text: str) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for token in subtokens(text):
-        counts[token] = counts.get(token, 0) + 1
-    return counts
+def _term_counts(text: str) -> Counter[str]:
+    """Counts in first-occurrence order, which fixes the postings order."""
+    return Counter(subtokens(text))
 
 
 def _finalize(
@@ -68,8 +68,11 @@ def _finalize(
     idf = [math.log(n / d) + 1.0 for d in df]
     # Postings run in ascending term-id order, so each item's squared
     # norm accumulates in the brute-force oracle's iteration order.
-    w = post_tf * np.repeat(np.asarray(idf, dtype=np.float64), df_arr)
-    norms_sq = np.bincount(post_pos, weights=w * w, minlength=n)
+    # In place: one postings-sized temporary instead of three.
+    w = np.repeat(np.asarray(idf, dtype=np.float64), df_arr)
+    w *= post_tf
+    w *= w
+    norms_sq = np.bincount(post_pos, weights=w, minlength=n)
     return SparseIndex(
         item_ids=item_ids,
         vocabulary=vocabulary,
@@ -85,17 +88,22 @@ def _finalize(
 def build_sparse_index(kb: CodeKnowledgeBase) -> SparseIndex:
     """Index every knowledge item; vocabulary order is deterministic (sorted)."""
     item_ids = [item.id for item in kb.items]
-    per_item_counts = [_term_counts(item.text) for item in kb.items]
-
-    terms = sorted({term for counts in per_item_counts for term in counts})
-    vocabulary = {term: tid for tid, term in enumerate(terms)}
-    tids: list[int] = []
-    tfs: list[int] = []
-    for counts in per_item_counts:
-        tids.extend(map(vocabulary.__getitem__, counts))
+    # Terms get ids in first-seen order while the items stream past, so no
+    # item's counts outlive it; the ids are renumbered in sorted order below.
+    seen: dict[str, int] = {}
+    seen_tids = array("i")
+    tfs = array("i")
+    lengths: list[int] = []
+    for item in kb.items:
+        counts = _term_counts(item.text)
+        seen_tids.extend([seen.setdefault(term, len(seen)) for term in counts])
         tfs.extend(counts.values())
-    lengths = [len(counts) for counts in per_item_counts]
-    tid_arr = np.asarray(tids, dtype=np.int64)
+        lengths.append(len(counts))
+
+    terms = sorted(seen)
+    vocabulary = {term: tid for tid, term in enumerate(terms)}
+    renumber = np.array([vocabulary[term] for term in seen], dtype=np.int32)
+    tid_arr = renumber[np.frombuffer(seen_tids, dtype=np.int32)]
     # Items were visited in position order; a stable sort by term id keeps
     # the positions ascending within each term.
     order = np.argsort(tid_arr, kind="stable")
@@ -107,7 +115,7 @@ def build_sparse_index(kb: CodeKnowledgeBase) -> SparseIndex:
         vocabulary,
         term_ptr,
         pos_arr[order],
-        np.asarray(tfs, dtype=np.int32)[order],
+        np.frombuffer(tfs, dtype=np.int32)[order],
     )
 
 

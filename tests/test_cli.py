@@ -86,6 +86,18 @@ def test_index_rerun_is_byte_identical(tmp_path):
     assert file_hashes(out1) == file_hashes(out2)
 
 
+def test_index_skips_a_file_too_deep_to_parse(tmp_path, capsys):
+    repo = write_repo(tmp_path / "deep", {
+        "deep.py": "x = " + "+".join(["a"] * 3000) + "\n",
+        "ok.py": "def keep_me(a):\n    return a\n",
+    })
+    out = tmp_path / "idx"
+    assert run_cli("index", str(repo), "--out", str(out)) == 0
+    kb = RepoIndex.load(out).kb
+    assert [item.qualified_name for item in kb.items] == ["keep_me"]
+    assert [failure.file_path for failure in kb.parse_errors] == ["deep.py"]
+
+
 def test_index_empty_dir_exits_2(tmp_path, capsys):
     empty = tmp_path / "nothing"
     empty.mkdir()

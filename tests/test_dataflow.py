@@ -27,6 +27,7 @@ from coderag.dataflow import (
     dataflow_retrieve,
     to_dot,
 )
+from coderag.errors import GraphUnavailable
 from coderag.kb import CodeKnowledgeBase, CodeKnowledgeItem, ItemKind
 
 from .dataflow_oracle import linear_longest_parsable, scan_retrieve
@@ -345,3 +346,16 @@ def test_unclosed_bracket_prefix_parses_logarithmically(position, monkeypatch):
     # Every block that holds the open bracket fails, so the answer is the
     # block just above it, as the one-line-at-a-time search would find.
     assert parsed == lines.index("x = foo(")
+
+
+DEEP_LINE = "x = " + "+".join(["a"] * 3000)
+
+
+@pytest.mark.parametrize(
+    "prefix",
+    [DEEP_LINE, "import util\n" + DEEP_LINE + "\ny = util.load(", "y = 1\n" + DEEP_LINE + "\ny"],
+    ids=["cursor_line", "before_unclosed_call", "before_cursor"],
+)
+def test_prefix_too_deep_to_parse_is_graph_unavailable(prefix):
+    with pytest.raises(GraphUnavailable, match="too deeply"):
+        build_dataflow_graph(prefix)

@@ -1,5 +1,6 @@
 """Every module imports on its own: no import cycle between the modules
-that define the run config, the clients and the pipeline."""
+that define the run config, the clients and the pipeline.  A run with
+only stub clients does not import the HTTP clients."""
 
 from __future__ import annotations
 
@@ -25,3 +26,20 @@ def test_module_imports_first_in_a_fresh_interpreter(module):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_all_stub_clients_do_not_load_the_http_stack():
+    code = (
+        "import sys\n"
+        "import coderag.cli\n"
+        "from coderag.config import RunConfig, make_clients\n"
+        "make_clients(RunConfig())\n"
+        "print(sorted(m for m in ('coderag.wire', 'urllib.request') if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("CODERAG_LM_ENDPOINT", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

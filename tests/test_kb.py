@@ -39,6 +39,18 @@ def test_parse_file_reports_failure():
     assert exc_info.value.file_path == "bad.py"
 
 
+@pytest.mark.parametrize(
+    "source",
+    ["x = " + "+".join(["a"] * 3000), "x = a" + ".b" * 3000, "x = f" + "()" * 3000],
+    ids=["sum", "attribute_chain", "call_chain"],
+)
+def test_parse_file_too_deep_is_a_parse_error(source):
+    # CPython raises RecursionError, not SyntaxError, for these expressions.
+    with pytest.raises(ParseError) as exc_info:
+        parse_file(source + "\n", "deep.py")
+    assert exc_info.value.file_path == "deep.py"
+
+
 def test_extract_items_four_kinds():
     # Enumerated by hand: one element of each kind on known lines.
     src = "GLOBAL_V = 1\nclass A:\n  c = 2\n  def m(self):\n    pass\ndef g():\n  pass\n"

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
-from coderag.lexing import identifier_set, iter_identifiers, subtokens
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coderag.lexing import _split_word, identifier_set, iter_identifiers, subtokens
+
+from .subtokens_oracle import oracle_subtokens
 
 
 def test_subtokens_snake_and_camel():
@@ -12,6 +17,23 @@ def test_subtokens_snake_and_camel():
     assert subtokens("x") == ["x"]
     assert subtokens("123") == ["123"]
     assert subtokens("") == []
+
+
+# Letters of both cases, digits, underscores, separators and a few
+# non-ASCII characters (which end a word, as any other non-alphanumeric).
+_CODE_CHARS = st.sampled_from(list("aBcXyZ019_ .(:\n") + ["é", "Ü", "ß", "İ", "٣", "😀"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.text(_CODE_CHARS)))
+def test_memoized_subtokens_equal_two_pass_split(text):
+    # Twice, so the second call reads every word from the memo.
+    assert subtokens(text) == oracle_subtokens(text)
+    assert subtokens(text) == oracle_subtokens(text)
+
+
+def test_word_memo_is_bounded():
+    assert _split_word.cache_info().maxsize is not None
 
 
 def test_identifiers_skip_keywords_and_literals():

@@ -233,6 +233,16 @@ def test_complete_prefix_unparsable_past_cursor(mini_repo):
     assert result.prompt.endswith("x = util.load_defaults(")
 
 
+def test_complete_prefix_too_deep_to_parse_skips_dataflow(mini_repo):
+    index = RepoIndex.build(mini_repo, StubEmbedder())
+    prefix = "import util\nx = " + "+".join(["a"] * 3000) + "\ny = util.load_defaults("
+    task = CompletionTask("mini-deep", str(mini_repo), "main.py", prefix, cursor_line=3)
+    result = complete(task, index, stub_clients())
+    paths = {c.path for c in result.retrieval_list.candidates}
+    assert paths and RetrievalPath.DATAFLOW not in paths
+    assert result.prompt.endswith("y = util.load_defaults(")
+
+
 def test_complete_paths_ablation(mini_repo):
     index = RepoIndex.build(mini_repo, StubEmbedder())
     result = complete(mini_task(mini_repo), index, stub_clients(), RunConfig(paths=("sparse",)))
