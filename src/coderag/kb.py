@@ -39,8 +39,7 @@ class ItemKind(str, Enum):
     CLASS_FUNCTION = "ClassFunction"
 
 
-# Slotted: one per indexed element, 30k in a 2,000-file repository.
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CodeKnowledgeItem:
     """One extracted repository element.
 

@@ -68,11 +68,8 @@ def _finalize(
     idf = [math.log(n / d) + 1.0 for d in df]
     # Postings run in ascending term-id order, so each item's squared
     # norm accumulates in the brute-force oracle's iteration order.
-    # In place: one postings-sized temporary instead of three.
-    w = np.repeat(np.asarray(idf, dtype=np.float64), df_arr)
-    w *= post_tf
-    w *= w
-    norms_sq = np.bincount(post_pos, weights=w, minlength=n)
+    w = post_tf * np.repeat(np.asarray(idf, dtype=np.float64), df_arr)
+    norms_sq = np.bincount(post_pos, weights=w * w, minlength=n)
     return SparseIndex(
         item_ids=item_ids,
         vocabulary=vocabulary,

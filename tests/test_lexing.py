@@ -3,7 +3,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coderag.lexing import _split_word, identifier_set, iter_identifiers, subtokens
+from coderag.lexing import identifier_set, iter_identifiers, subtokens
 
 from .subtokens_oracle import oracle_subtokens
 
@@ -30,10 +30,6 @@ def test_memoized_subtokens_equal_two_pass_split(text):
     # Twice, so the second call reads every word from the memo.
     assert subtokens(text) == oracle_subtokens(text)
     assert subtokens(text) == oracle_subtokens(text)
-
-
-def test_word_memo_is_bounded():
-    assert _split_word.cache_info().maxsize is not None
 
 
 def test_identifiers_skip_keywords_and_literals():
