@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_index = sub.add_parser("index", help="build kb.jsonl, manifest.json, sparse.idx, dense.vec")
+    p_index = sub.add_parser("index", help="build the index directory of a repository")
     p_index.add_argument("repo", help="repository root to index")
     p_index.add_argument("--out", required=True, help="output directory")
     _add_config_flags(p_index)

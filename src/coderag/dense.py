@@ -8,22 +8,15 @@ retrieved.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Protocol
 
 import numpy as np
 
-from .errors import EmbedderUnavailable, EmbeddingDimensionMismatch, IndexFormatError
+from .errors import EmbedderUnavailable, EmbeddingDimensionMismatch
 from .fanout import call_each
 from .kb import CodeKnowledgeBase
 from .topj import top_j
-
-DENSE_FILE_NAME = "dense.vec"
-FORMAT_VERSION = 1
-_MAGIC = b"CRDV"
 
 
 class EmbedderClient(Protocol):
@@ -42,7 +35,7 @@ class EmbedderClient(Protocol):
 @dataclass
 class DenseIndex:
     item_ids: list[str]
-    # float64 holding float32-rounded values, the precision of dense.vec;
+    # float64 holding float32-rounded values, the precision it is saved in;
     # shape (len(item_ids), dim), rows unit or zero.  Scoring runs in float64.
     vectors: np.ndarray
     dim: int
@@ -113,45 +106,3 @@ def dense_retrieve(
     scores = index.vectors @ q
     active = index._active_pos
     return top_j(index.item_ids, active, scores[active], j)
-
-
-def save_dense_index(index: DenseIndex, out_dir: str | Path) -> None:
-    """Binary layout: magic, u32 header (dim, count, version), row-major
-    float32 LE matrix, u32 id-table length, JSON id table (UTF-8)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    matrix = np.ascontiguousarray(index.vectors, dtype="<f4")
-    id_table = json.dumps(index.item_ids, ensure_ascii=False).encode("utf-8")
-    with open(out / DENSE_FILE_NAME, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", index.dim, len(index.item_ids), FORMAT_VERSION))
-        fh.write(matrix.tobytes())
-        fh.write(struct.pack("<I", len(id_table)))
-        fh.write(id_table)
-
-
-def load_dense_index(kb_dir: str | Path) -> DenseIndex:
-    path = Path(kb_dir) / DENSE_FILE_NAME
-    blob = path.read_bytes()
-    if blob[:4] != _MAGIC:
-        raise IndexFormatError(path, "is not a dense vector file")
-    try:
-        dim, count, version = struct.unpack_from("<III", blob, 4)
-        if version != FORMAT_VERSION:
-            raise IndexFormatError(
-                path, f"has dense index version {version}, expected {FORMAT_VERSION}"
-            )
-        offset = 4 + 12
-        vectors = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=offset)
-        offset += vectors.nbytes
-        (table_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        item_ids = json.loads(blob[offset : offset + table_len].decode("utf-8"))
-        if len(item_ids) != count:
-            raise IndexFormatError(path, "is truncated or inconsistent")
-        matrix = vectors.reshape(count, dim).astype(np.float64)
-        return DenseIndex(item_ids=item_ids, vectors=matrix, dim=dim)
-    except (struct.error, ValueError) as exc:
-        # Short reads from a truncated file, an undecodable id table, or
-        # stored rows that are not unit vectors.
-        raise IndexFormatError(path, f"is truncated or corrupt ({exc})") from exc

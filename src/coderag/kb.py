@@ -9,27 +9,21 @@ and are not indexed separately.
 from __future__ import annotations
 
 import ast
-import contextlib
 import datetime as dt
 import hashlib
-import json
 import logging
 import os
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
 
-from .errors import EmptyRepository, IndexFormatError, ParseError
+from .errors import EmptyRepository, ParseError
 
 log = logging.getLogger(__name__)
 
-KB_FILE_NAME = "kb.jsonl"
-MANIFEST_FILE_NAME = "manifest.json"
 SOURCE_EXTENSIONS = (".py",)
 MAX_FILE_BYTES = 1 << 20  # larger files are skipped with a warning
-TOOL_VERSION = "coderag-kb/1"
 
 
 class ItemKind(str, Enum):
@@ -186,7 +180,9 @@ def extract_items(
     One item per top-level function, per module-level assignment, per
     class-body assignment ("Class.attr") and per class-body method
     ("Class.method").  Assignments without any plain-name target (e.g.
-    ``obj.attr = 1``) bind nothing and are skipped.
+    ``obj.attr = 1``) bind nothing and are skipped.  Assignments that
+    share a line (``A = 1; B = 2``) share a span, hence an id: the first
+    is kept, named by its first target, as ``A, B = 1, 2`` is.
     """
     lines = source_text.split("\n")
     items: list[CodeKnowledgeItem] = []
@@ -228,7 +224,10 @@ def extract_items(
                                 span,
                             )
                         )
-    return items
+    unique: dict[str, CodeKnowledgeItem] = {}
+    for item in items:
+        unique.setdefault(item.id, item)
+    return list(unique.values())
 
 
 def _source_files(repo_root: Path) -> list[Path]:
@@ -278,98 +277,16 @@ def build_knowledge_base(
         repo_root=str(root),
         file_manifest=manifest,
         parse_errors=errors,
-        build_timestamp=_build_timestamp(root),
+        build_timestamp=_build_timestamp(files),
     )
 
 
-def _item_record(item: CodeKnowledgeItem) -> dict:
-    return {
-        "id": item.id,
-        "kind": item.kind.value,
-        "qualified_name": item.qualified_name,
-        "file_path": item.file_path,
-        "line_span": list(item.line_span),
-        "text": item.text,
-    }
-
-
-def _build_timestamp(repo_root: Path) -> str:
-    """Deterministic build stamp: newest mtime among indexed source files.
+def _build_timestamp(files: list[Path]) -> str:
+    """Deterministic build stamp: newest mtime of ``files``, oversized ones included.
 
     A wall-clock stamp would break the rebuild-identical contract for an
     unchanged repository.
     """
-    mtimes = [p.stat().st_mtime for p in _source_files(repo_root)]
+    mtimes = [p.stat().st_mtime for p in files]
     stamp = max(mtimes, default=0.0)
     return dt.datetime.fromtimestamp(int(stamp), tz=dt.timezone.utc).isoformat()
-
-
-def save_knowledge_base(kb: CodeKnowledgeBase, out_dir: str | Path) -> None:
-    """Write ``kb.jsonl`` (one item per line) and ``manifest.json``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / KB_FILE_NAME, "w", encoding="utf-8", newline="\n") as fh:
-        for item in kb.items:
-            fh.write(json.dumps(_item_record(item), ensure_ascii=False))
-            fh.write("\n")
-    manifest = {
-        "repo_root": kb.repo_root,
-        "files": dict(sorted(kb.file_manifest.items())),
-        "build_timestamp": kb.build_timestamp,
-        "tool_version": TOOL_VERSION,
-        "parse_errors": [
-            {"file_path": e.file_path, "diagnostic": e.diagnostic} for e in kb.parse_errors
-        ],
-    }
-    with open(out / MANIFEST_FILE_NAME, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
-
-
-@contextlib.contextmanager
-def _index_file(path: Path, where: Callable[[], str] = lambda: ""):
-    """Open one index file for reading.  A truncated or hand-edited record
-    (bad JSON or UTF-8, a bad kind, a missing key, a value of the wrong
-    shape) raises :class:`IndexFormatError` naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            yield fh
-    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
-        problem = f"a record has no {exc} key" if isinstance(exc, KeyError) else str(exc)
-        raise IndexFormatError(path, f"is truncated or corrupt{where()} ({problem})") from exc
-
-
-def load_knowledge_base(kb_dir: str | Path) -> CodeKnowledgeBase:
-    kb_dir = Path(kb_dir)
-    items: list[CodeKnowledgeItem] = []
-    # JSON errors give positions within a line, so name the line.
-    with _index_file(
-        kb_dir / KB_FILE_NAME, lambda: f" while reading line {len(items) + 1}"
-    ) as fh:
-        for line in fh:
-            rec = json.loads(line)  # other keys, e.g. an old `identifiers`, are ignored
-            items.append(
-                CodeKnowledgeItem(
-                    id=rec["id"],
-                    kind=ItemKind(rec["kind"]),
-                    qualified_name=rec["qualified_name"],
-                    file_path=rec["file_path"],
-                    line_span=(rec["line_span"][0], rec["line_span"][1]),
-                    text=rec["text"],
-                )
-            )
-    with _index_file(kb_dir / MANIFEST_FILE_NAME) as fh:
-        manifest = json.load(fh)
-        recorded = dict(
-            repo_root=manifest["repo_root"],
-            file_manifest=dict(manifest["files"]),
-            parse_errors=[
-                ParseFailure(e["file_path"], e["diagnostic"])
-                for e in manifest.get("parse_errors", [])
-            ],
-            build_timestamp=manifest.get("build_timestamp", ""),
-        )
-    try:
-        return CodeKnowledgeBase(items=items, **recorded)
-    except ValueError as exc:  # duplicate ids, or an item's file not in the manifest
-        raise IndexFormatError(kb_dir, f"is inconsistent ({exc})") from exc

@@ -15,19 +15,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
+from . import store
 from .clients import PipelineClients, approx_token_count
 from .config import RunConfig
 from .dataflow import build_dataflow_graph, dataflow_retrieve
 from .dense import DenseIndex, EmbedderClient, build_dense_index, dense_retrieve
-from .dense import load_dense_index, save_dense_index
 from .errors import BudgetImpossible, GraphUnavailable, PipelineStageError
-from .kb import CodeKnowledgeBase, build_knowledge_base, load_knowledge_base
-from .kb import save_knowledge_base
+from .kb import CodeKnowledgeBase, build_knowledge_base
 from .querybuild import RetrievalQuery, construct_query
 from .rerank import RerankOutcome, rerank
 from .retrieve import RetrievalList, RetrievalPath, merge_paths
-from .sparse import SparseIndex, build_sparse_index, load_sparse_index
-from .sparse import save_sparse_index, sparse_retrieve
+from .sparse import SparseIndex, build_sparse_index, sparse_retrieve
 
 APPROX_COUNT_MARGIN = 0.9  # shrink the budget 10% when counting is approximate
 
@@ -80,17 +78,12 @@ class RepoIndex:
         )
 
     def save(self, out_dir: str | Path) -> None:
-        save_knowledge_base(self.kb, out_dir)
-        save_sparse_index(self.sparse, out_dir)
-        save_dense_index(self.dense, out_dir)
+        store.save(out_dir, self.kb, self.sparse, self.dense)
 
     @classmethod
     def load(cls, kb_dir: str | Path) -> "RepoIndex":
-        return cls(
-            kb=load_knowledge_base(kb_dir),
-            sparse=load_sparse_index(kb_dir),
-            dense=load_dense_index(kb_dir),
-        )
+        """Raises ``IndexFormatError`` for a damaged or mismatched index file."""
+        return cls(*store.load(kb_dir))
 
 
 def token_counter(generator: GeneratorClient) -> tuple[Callable[[str], int], bool]:

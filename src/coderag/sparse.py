@@ -11,24 +11,16 @@ same formula.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import IndexFormatError
 from .kb import CodeKnowledgeBase
 from .lexing import subtokens
 from .topj import top_j
-
-SPARSE_FILE_NAME = "sparse.idx"
-FORMAT_VERSION = 2
-_MAGIC = b"CRSI"
 
 
 @dataclass
@@ -45,23 +37,20 @@ class SparseIndex:
     def __post_init__(self) -> None:
         self._norms = np.asarray(self.item_norms, dtype=np.float64)
 
-    @property
-    def item_count(self) -> int:
-        return len(self.item_ids)
-
 
 def _term_counts(text: str) -> Counter[str]:
     """Counts in first-occurrence order, which fixes the postings order."""
     return Counter(subtokens(text))
 
 
-def _finalize(
+def index_from_postings(
     item_ids: list[str],
     vocabulary: dict[str, int],
     term_ptr: np.ndarray,
     post_pos: np.ndarray,
     post_tf: np.ndarray,
 ) -> SparseIndex:
+    """The index over these postings; idf and item norms are derived."""
     n = len(item_ids)
     df_arr = np.diff(term_ptr)
     df = df_arr.tolist()
@@ -107,7 +96,7 @@ def build_sparse_index(kb: CodeKnowledgeBase) -> SparseIndex:
     pos_arr = np.repeat(np.arange(len(item_ids), dtype=np.int32), lengths)
     term_ptr = np.zeros(len(terms) + 1, dtype=np.int64)
     np.cumsum(np.bincount(tid_arr, minlength=len(terms)), out=term_ptr[1:])
-    return _finalize(
+    return index_from_postings(
         item_ids,
         vocabulary,
         term_ptr,
@@ -146,72 +135,9 @@ def sparse_retrieve(
     dots = np.bincount(
         np.concatenate(pos_parts),
         weights=np.concatenate(weight_parts),
-        minlength=index.item_count,
+        minlength=len(index.item_ids),
     )
 
     hit = np.flatnonzero(dots)
     scores = dots[hit] / (q_norm * index._norms[hit])
     return top_j(index.item_ids, hit, scores, j)
-
-
-def save_sparse_index(index: SparseIndex, out_dir: str | Path) -> None:
-    """Binary layout (all little-endian): magic, u32 header (version, item
-    count, term count, postings count), i64 ``term_ptr``, i32 ``post_pos``,
-    i32 ``post_tf``, then two tables, each a u32 byte length and UTF-8
-    JSON: the terms in term-id order, then the item ids.  Document
-    frequencies are ``diff(term_ptr)`` and are not stored twice."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    terms = sorted(index.vocabulary, key=index.vocabulary.get)
-    header = struct.pack(
-        "<IIII", FORMAT_VERSION, len(index.item_ids), len(terms), len(index.post_pos)
-    )
-    with open(out / SPARSE_FILE_NAME, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(header)
-        fh.write(np.ascontiguousarray(index.term_ptr, dtype="<i8").tobytes())
-        fh.write(np.ascontiguousarray(index.post_pos, dtype="<i4").tobytes())
-        fh.write(np.ascontiguousarray(index.post_tf, dtype="<i4").tobytes())
-        for table in (terms, index.item_ids):
-            blob = json.dumps(table, ensure_ascii=False).encode("utf-8")
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-
-
-def load_sparse_index(kb_dir: str | Path) -> SparseIndex:
-    path = Path(kb_dir) / SPARSE_FILE_NAME
-    blob = path.read_bytes()
-    if blob[:4] != _MAGIC:
-        if blob[:1] == b"{":
-            raise IndexFormatError(
-                path, "is a version-1 (JSON) sparse index, which this version no longer reads"
-            )
-        raise IndexFormatError(path, "is not a sparse index file")
-    try:
-        version, n_items, n_terms, n_postings = struct.unpack_from("<IIII", blob, 4)
-        if version != FORMAT_VERSION:
-            raise IndexFormatError(
-                path, f"has sparse index version {version}, expected {FORMAT_VERSION}"
-            )
-        offset = 4 + 16
-        arrays = []
-        for dtype, count in (("<i8", n_terms + 1), ("<i4", n_postings), ("<i4", n_postings)):
-            raw = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
-            arrays.append(raw.astype(raw.dtype.newbyteorder("=")))
-            offset += raw.nbytes
-        tables = []
-        for _ in range(2):
-            (length,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            tables.append(json.loads(blob[offset : offset + length].decode("utf-8")))
-            offset += length
-        terms, item_ids = tables
-        if len(terms) != n_terms or len(item_ids) != n_items:
-            raise IndexFormatError(path, "is truncated or inconsistent")
-        term_ptr, post_pos, post_tf = arrays
-        vocabulary = {term: tid for tid, term in enumerate(terms)}
-        return _finalize(item_ids, vocabulary, term_ptr, post_pos, post_tf)
-    except (struct.error, ValueError) as exc:
-        # Short reads from a truncated file, undecodable tables, arrays
-        # that do not fit together.
-        raise IndexFormatError(path, f"is truncated or corrupt ({exc})") from exc

@@ -35,7 +35,6 @@ from .errors import (
 from .fanout import FANOUT_WIDTH
 
 PROTOCOL_VERSION = 1
-REQUEST_TYPES = ("generate", "score", "embed", "chat")
 DEFAULT_TIMEOUT_SECONDS = 60.0
 PICK_MAX_TOKENS = 16  # a pick reply is one short selection like "[C] = 2"
 

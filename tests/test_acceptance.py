@@ -21,12 +21,13 @@ from coderag.config import RunConfig
 from coderag.dense import build_dense_index, dense_retrieve
 from coderag.distill import build_distillation_data
 from coderag.evaluation import edit_similarity, levenshtein
-from coderag.kb import build_knowledge_base, load_knowledge_base, save_knowledge_base
+from coderag.kb import build_knowledge_base
 from coderag.pipeline import CompletionTask, PipelineClients, RepoIndex, complete
 from coderag.querybuild import chunk_file, construct_query, probe_prompt
 from coderag.rerank import analytic_call_bound, make_windows
 from coderag.retrieve import RetrievalPath
 from coderag.sparse import build_sparse_index, sparse_retrieve
+from coderag.store import load_knowledge_base, save_knowledge_base
 
 from .conftest import MINI_PREFIX, REPO10_INVENTORY
 from .test_dataflow import KB as DATAFLOW_KB

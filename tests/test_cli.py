@@ -98,6 +98,17 @@ def test_index_skips_a_file_too_deep_to_parse(tmp_path, capsys):
     assert [failure.file_path for failure in kb.parse_errors] == ["deep.py"]
 
 
+def test_index_keeps_assignments_that_share_a_line(tmp_path):
+    repo = write_repo(tmp_path / "repo", {
+        "consts.py": "A = 1; B = 2\n\n\ndef use():\n    return A + B\n",
+        "models.py": "class C:\n    x = 5; y = 6\n\n    def m(self):\n        return self.x\n",
+    })
+    out = tmp_path / "idx"
+    assert run_cli("index", str(repo), "--out", str(out)) == 0
+    kb = RepoIndex.load(out).kb
+    assert [item.qualified_name for item in kb.items] == ["A", "use", "C.x", "C.m"]
+
+
 def test_index_empty_dir_exits_2(tmp_path, capsys):
     empty = tmp_path / "nothing"
     empty.mkdir()
@@ -169,10 +180,19 @@ def test_complete_version_1_sparse_index_asks_for_reindex(indexed_mini, tmp_path
     assert "version-1" in err and "coderag index" in err
 
 
-@pytest.mark.parametrize("name", ["dense.vec", "sparse.idx"])
-def test_complete_truncated_index_asks_for_reindex(indexed_mini, tmp_path, capsys, name):
+@pytest.mark.parametrize(("name", "source"), [
+    pytest.param(name, source, id=name if source == "truncated" else f"{name} {source}")
+    for source in ("truncated", "from another build")
+    for name in ("dense.vec", "sparse.idx")
+])
+def test_complete_truncated_index_asks_for_reindex(indexed_mini, tmp_path, capsys, name, source):
     repo, idx = indexed_mini
-    (idx / name).write_bytes((idx / name).read_bytes()[:10])
+    if source == "truncated":
+        (idx / name).write_bytes((idx / name).read_bytes()[:10])
+    else:  # as many items as the mini repository, other ids
+        other = write_repo(tmp_path / "other", {f"pkg/{p}": t for p, t in MINI_REPO_FILES.items()})
+        assert run_cli("index", str(other), "--out", str(tmp_path / "other_idx")) == 0
+        (idx / name).write_bytes((tmp_path / "other_idx" / name).read_bytes())
     task = write_task(tmp_path / "task.json", repo)
     assert run_cli("complete", "--task", str(task), "--kb-dir", str(idx)) == 2
     err = capsys.readouterr().err

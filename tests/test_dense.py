@@ -7,16 +7,14 @@ import random
 import numpy as np
 import pytest
 
+from coderag import store
 from coderag.clients import StubEmbedder
-from coderag.dense import build_dense_index, dense_retrieve, load_dense_index, save_dense_index
-from coderag.errors import (
-    CodeRagError,
-    EmbedderUnavailable,
-    EmbeddingDimensionMismatch,
-    IndexFormatError,
-)
+from coderag.dense import build_dense_index, dense_retrieve
+from coderag.errors import CodeRagError, EmbedderUnavailable, EmbeddingDimensionMismatch
+from coderag.sparse import build_sparse_index
 
 from .test_sparse import kb_from_texts
+from .test_store import DENSE_DAMAGES, assert_damaged_file_asks_for_reindex
 
 
 class FakeEmbedder:
@@ -154,8 +152,8 @@ def test_round_trip(tmp_path):
     kb = kb_from_texts(["alpha beta", "", "gamma"])
     embedder = StubEmbedder(dim=8, seed=1)
     index = build_dense_index(kb, embedder)
-    save_dense_index(index, tmp_path)
-    loaded = load_dense_index(tmp_path)
+    store.save(tmp_path, kb, build_sparse_index(kb), index)
+    _, _, loaded = store.load(tmp_path)
     assert loaded.dim == index.dim
     assert loaded.item_ids == index.item_ids
     assert loaded.vectors.tobytes() == index.vectors.tobytes()
@@ -237,22 +235,6 @@ def test_query_dimension_mismatch_is_typed():
     assert "64" in str(err) and "32" in str(err)
 
 
-DAMAGES = {
-    "bad magic": lambda blob: b"XXXX" + blob[4:],
-    "unknown version": lambda blob: blob[:12] + (99).to_bytes(4, "little") + blob[16:],
-    "first 10 bytes": lambda blob: blob[:10],
-    "cut in the matrix": lambda blob: blob[:40],
-    "cut in the id table": lambda blob: blob[:-3],
-}
-
-
-@pytest.mark.parametrize("damage", sorted(DAMAGES))
+@pytest.mark.parametrize("damage", DENSE_DAMAGES)
 def test_damaged_file_asks_for_reindex(tmp_path, damage):
-    index = build_dense_index(kb_from_texts(["alpha beta", "gamma"]), StubEmbedder(dim=8))
-    save_dense_index(index, tmp_path)
-    path = tmp_path / "dense.vec"
-    path.write_bytes(DAMAGES[damage](path.read_bytes()))
-    with pytest.raises(IndexFormatError) as exc_info:
-        load_dense_index(tmp_path)
-    assert str(path) in str(exc_info.value)
-    assert "re-run `coderag index`" in str(exc_info.value)
+    assert_damaged_file_asks_for_reindex(tmp_path, "dense.vec", damage)

@@ -11,15 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coderag.errors import EmptyRepository, IndexFormatError, ParseError
-from coderag.kb import (
+from coderag.kb import ItemKind, build_knowledge_base, extract_items, item_id, parse_file
+from coderag.store import (
     KB_FILE_NAME,
     MANIFEST_FILE_NAME,
-    ItemKind,
-    build_knowledge_base,
-    extract_items,
-    item_id,
     load_knowledge_base,
-    parse_file,
     save_knowledge_base,
 )
 
@@ -81,6 +77,24 @@ def test_decorator_included_in_span():
     assert item.text.startswith("@wraps(fn)")
 
 
+@pytest.mark.parametrize(
+    ("src", "kept"),
+    [
+        ("A = 1; B = 2\ndef f():\n    pass\n", [("A", (1, 1)), ("f", (2, 3))]),
+        ("class C:\n    x = 5; y = 6\n    def m(self):\n        pass\n",
+         [("C.x", (2, 2)), ("C.m", (3, 4))]),
+    ],
+    ids=["module_level", "class_body"],
+)
+def test_assignments_sharing_a_line_keep_the_first(src, kept):
+    # Both share one span and kind, hence one id; the first is kept, as for
+    # `A, B = 1, 2`, and no other item's id changes.
+    items = extract_items(parse_file(src, "s.py"), src, "s.py")
+    assert [(i.qualified_name, i.line_span) for i in items] == kept
+    assert [i.id for i in items] == [item_id("s.py", i.line_span, i.kind) for i in items]
+    assert items[0].text == src.split("\n")[items[0].line_span[0] - 1]
+
+
 def test_attribute_only_assignment_is_skipped():
     src = "obj.attr = 1\n"
     assert extract_items(parse_file(src, "o.py"), src, "o.py") == []
@@ -103,6 +117,17 @@ def test_build_ordering_and_parse_errors(tmp_path):
     assert [i.qualified_name for i in kb.items] == ["ONE", "two"]
     assert [e.file_path for e in kb.parse_errors] == ["bad.py"]
     assert set(kb.file_manifest) == {"a.py", "b.py", "bad.py"}
+
+
+def test_build_walks_the_repository_once(tmp_path, monkeypatch):
+    import coderag.kb
+
+    walks = []
+    real_walk = coderag.kb.os.walk
+    monkeypatch.setattr(coderag.kb.os, "walk", lambda top: walks.append(top) or real_walk(top))
+    write_repo(tmp_path, {"a.py": "ONE = 1\n", "sub/b.py": "def two():\n    pass\n"})
+    build_knowledge_base(tmp_path)
+    assert len(walks) == 1
 
 
 def test_build_empty_repo(tmp_path):

@@ -8,16 +8,15 @@ import random
 
 import pytest
 
+from coderag import store
+from coderag.clients import StubEmbedder
+from coderag.dense import build_dense_index
 from coderag.errors import CodeRagError, IndexFormatError
-
 from coderag.kb import CodeKnowledgeBase, CodeKnowledgeItem, ItemKind
 from coderag.lexing import subtokens
-from coderag.sparse import (
-    build_sparse_index,
-    load_sparse_index,
-    save_sparse_index,
-    sparse_retrieve,
-)
+from coderag.sparse import build_sparse_index, sparse_retrieve
+
+from .test_store import SPARSE_DAMAGES, assert_damaged_file_asks_for_reindex
 
 
 def kb_from_texts(texts: list[str], ids: list[str] | None = None) -> CodeKnowledgeBase:
@@ -169,17 +168,23 @@ def test_unrelated_item_preserves_order_for_fixed_index():
         assert sparse_retrieve(grown, query, 16) == sparse_retrieve(index, query, 15)
 
 
+def save_index(kb: CodeKnowledgeBase, sparse, out) -> None:
+    """Save ``sparse`` with ``kb`` and a dense index, as ``coderag index`` does."""
+    store.save(out, kb, sparse, build_dense_index(kb, StubEmbedder(dim=4)))
+
+
 def test_round_trip(tmp_path):
     texts = ["parse config path", "sensor read rate", ""]
-    index = build_sparse_index(kb_from_texts(texts))
-    save_sparse_index(index, tmp_path)
-    loaded = load_sparse_index(tmp_path)
+    kb = kb_from_texts(texts)
+    index = build_sparse_index(kb)
+    save_index(kb, index, tmp_path)
+    _, loaded, _ = store.load(tmp_path)
     assert loaded.vocabulary == index.vocabulary
     assert loaded.idf == index.idf
     assert loaded.item_norms == index.item_norms
     assert sparse_retrieve(loaded, "parse rate", 3) == sparse_retrieve(index, "parse rate", 3)
     # persisted bytes are stable
-    save_sparse_index(loaded, tmp_path / "again")
+    save_index(kb, loaded, tmp_path / "again")
     assert (tmp_path / "sparse.idx").read_bytes() == (tmp_path / "again" / "sparse.idx").read_bytes()
 
 
@@ -224,39 +229,27 @@ def test_oracle_equivalence_large_corpus(seed):
 
 
 def test_binary_layout_header(tmp_path):
-    index = build_sparse_index(kb_from_texts(["a b", "b c", ""]))
-    save_sparse_index(index, tmp_path)
+    kb = kb_from_texts(["a b", "b c", ""])
+    save_index(kb, build_sparse_index(kb), tmp_path)
     blob = (tmp_path / "sparse.idx").read_bytes()
     assert blob[:4] == b"CRSI"
     # version, items, terms, postings
-    assert [int.from_bytes(blob[i : i + 4], "little") for i in range(4, 20, 4)] == [2, 3, 3, 4]
+    assert [int.from_bytes(blob[i : i + 4], "little") for i in range(4, 20, 4)] == [3, 3, 3, 4]
+    assert blob[20:52] == store.fingerprint(kb)
 
 
 def test_version_1_json_index_asks_for_reindex(tmp_path):
+    kb = kb_from_texts(["a"])
+    save_index(kb, build_sparse_index(kb), tmp_path)
     payload = {"version": 1, "item_ids": ["item000"], "terms": ["a"], "df": [1],
                "postings": [[[0, 1]]]}
     (tmp_path / "sparse.idx").write_text(json.dumps(payload) + "\n", encoding="utf-8")
     with pytest.raises(IndexFormatError, match="coderag index") as exc_info:
-        load_sparse_index(tmp_path)
+        store.load(tmp_path)
     assert isinstance(exc_info.value, CodeRagError)
     assert "version-1" in str(exc_info.value)
 
 
-DAMAGES = {
-    "bad magic": lambda blob: b"XXXX" + blob[4:],
-    "unknown version": lambda blob: blob[:4] + (99).to_bytes(4, "little") + blob[8:],
-    "first 10 bytes": lambda blob: blob[:10],
-    "cut in the arrays": lambda blob: blob[:40],
-    "cut in the tables": lambda blob: blob[:-3],
-}
-
-
-@pytest.mark.parametrize("damage", sorted(DAMAGES))
+@pytest.mark.parametrize("damage", SPARSE_DAMAGES)
 def test_damaged_file_asks_for_reindex(tmp_path, damage):
-    save_sparse_index(build_sparse_index(kb_from_texts(["a b", "b c", ""])), tmp_path)
-    path = tmp_path / "sparse.idx"
-    path.write_bytes(DAMAGES[damage](path.read_bytes()))
-    with pytest.raises(IndexFormatError) as exc_info:
-        load_sparse_index(tmp_path)
-    assert str(path) in str(exc_info.value)
-    assert "re-run `coderag index`" in str(exc_info.value)
+    assert_damaged_file_asks_for_reindex(tmp_path, "sparse.idx", damage)
