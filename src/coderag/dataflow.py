@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import GraphUnavailable
-from .kb import CodeKnowledgeBase, name_match_key
+from .kb import CodeKnowledgeBase, name_match_key, target_names
 from .lexing import KEYWORDS
 
 WALK_DEPTH = 4
@@ -104,8 +104,10 @@ class DataflowGraph:
 class _PrefixVisitor:
     """Source-ordered statement walk collecting bindings and uses.
 
-    Statements inside a top-level def/class get that name as their scope;
-    deeper nesting stays attributed to the same level-1 scope.
+    Imports, def/class and assignments have rules of their own; every
+    other statement goes through :meth:`_visit_fields`.  Statements inside
+    a top-level def/class get that name as their scope; deeper nesting
+    stays attributed to the same level-1 scope.
     """
 
     def __init__(self) -> None:
@@ -125,8 +127,7 @@ class _PrefixVisitor:
 
         if isinstance(stmt, (ast.Import, ast.ImportFrom)):
             self._bind_imports(stmt, idx, scope)
-            return
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             self.bindings.append(
                 _Binding(stmt.name, stmt.lineno, idx, scope, is_def_stmt=True)
             )
@@ -136,51 +137,35 @@ class _PrefixVisitor:
                     self.bindings.append(_Binding(arg.arg, stmt.lineno, idx, inner))
             for child in stmt.body:
                 self._visit_stmt(child, inner)
-            return
-
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             self._bind_assignment(stmt, idx, scope)
-            return
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            for name in self._target_names(stmt.target):
-                self.bindings.append(_Binding(name, stmt.lineno, idx, scope))
-            self._collect_uses(stmt.iter, idx, scope)
-            self._visit_block(stmt.body, scope)
-            self._visit_block(stmt.orelse, scope)
-            return
-        if isinstance(stmt, (ast.While, ast.If)):
-            self._collect_uses(stmt.test, idx, scope)
-            self._visit_block(stmt.body, scope)
-            self._visit_block(stmt.orelse, scope)
-            return
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                self._collect_uses(item.context_expr, idx, scope)
-                if item.optional_vars is not None:
-                    for name in self._target_names(item.optional_vars):
-                        self.bindings.append(_Binding(name, stmt.lineno, idx, scope))
-            self._visit_block(stmt.body, scope)
-            return
-        if isinstance(stmt, ast.Try):
-            self._visit_block(stmt.body, scope)
-            for handler in stmt.handlers:
-                if handler.name:
+        else:
+            self._visit_fields(stmt, stmt.lineno, idx, scope)
+
+    def _visit_fields(self, node: ast.AST, line: int, idx: int, scope: str) -> None:
+        """Children in source order: a ``for`` or ``with ... as`` target
+        binds at ``line``, any other expression is a use, a nested
+        statement is visited, and a ``withitem`` or ``match_case`` is
+        walked by this same rule.  An ``except`` handler's name binds at
+        the index of the next statement to visit; its type is not a use."""
+        targets = (getattr(node, "target", None), getattr(node, "optional_vars", None))
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.stmt):
+                self._visit_stmt(child, scope)
+            elif isinstance(child, ast.ExceptHandler):
+                if child.name:
                     self.bindings.append(
-                        _Binding(handler.name, handler.lineno, self.stmt_count, scope)
+                        _Binding(child.name, child.lineno, self.stmt_count, scope)
                     )
-                self._visit_block(handler.body, scope)
-            self._visit_block(stmt.orelse, scope)
-            self._visit_block(stmt.finalbody, scope)
-            return
-
-        # Leaf statements (Expr, Return, Raise, Assert, Delete, ...): uses only.
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.expr):
+                for inner in child.body:
+                    self._visit_stmt(inner, scope)
+            elif not isinstance(child, ast.expr):
+                self._visit_fields(child, line, idx, scope)
+            elif child in targets:
+                for name in target_names(child):
+                    self.bindings.append(_Binding(name, line, idx, scope))
+            else:
                 self._collect_uses(child, idx, scope)
-
-    def _visit_block(self, body: list[ast.stmt], scope: str) -> None:
-        for child in body:
-            self._visit_stmt(child, scope)
 
     @staticmethod
     def _all_args(args: ast.arguments) -> list[ast.arg]:
@@ -190,18 +175,6 @@ class _PrefixVisitor:
         if args.kwarg:
             out.append(args.kwarg)
         return out
-
-    @staticmethod
-    def _target_names(target: ast.expr) -> list[str]:
-        if isinstance(target, ast.Name):
-            return [target.id]
-        if isinstance(target, (ast.Tuple, ast.List)):
-            out: list[str] = []
-            for el in target.elts:
-                if isinstance(el, ast.Name):
-                    out.append(el.id)
-            return out
-        return []
 
     def _bind_imports(self, stmt: ast.Import | ast.ImportFrom, idx: int, scope: str) -> None:
         for alias in stmt.names:
@@ -239,10 +212,7 @@ class _PrefixVisitor:
     def _bind_assignment(
         self, stmt: ast.Assign | ast.AnnAssign | ast.AugAssign, idx: int, scope: str
     ) -> None:
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-        else:
-            targets = [stmt.target]
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
         value = stmt.value
         ctor = ""
         called: list[str] = []
@@ -260,10 +230,7 @@ class _PrefixVisitor:
             if isinstance(value, ast.Name):
                 aliases.append(value.id)
             self._collect_uses(value, idx, scope)
-        names: list[str] = []
-        for target in targets:
-            names.extend(self._target_names(target))
-        for name in names:
+        for name in [n for target in targets for n in target_names(target)]:
             self.bindings.append(
                 _Binding(
                     name,

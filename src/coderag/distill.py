@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import InvalidPickReply, PickerUnavailable
-from .rerank import PickerClient
+from .errors import PickerUnavailable
+from .rerank import PickerClient, checked_pick
 
 DEFAULT_SAMPLE_SIZES = (2, 3, 4, 5, 6, 7)
 SUBSETS_PER_SIZE = 3
@@ -56,16 +56,16 @@ def vote_on_subset(
 ) -> DistillationSample | None:
     """Five picks over one candidate window; a sample on >= 4/5 consensus.
 
-    Every vote sees the same window order.
+    Every vote sees the same window order.  An invalid reply
+    (:func:`coderag.rerank.checked_pick`) is no vote, and a sample needs
+    five, so the subset then yields no sample and is not asked again.
     """
+    window = [s.text for s in subset]
     votes: list[str] = []
     for _ in range(VOTES_PER_SUBSET):
-        try:
-            idx = picker.pick(query_text, [s.text for s in subset])
-        except InvalidPickReply:
-            idx = 0
-        if not isinstance(idx, int) or not 0 <= idx < len(subset):
-            idx = 0
+        idx = checked_pick(picker, query_text, window)
+        if idx is None:
+            return None
         votes.append(subset[idx].item_id)
     top_id, count = Counter(votes).most_common(1)[0]
     if count < CONSENSUS_THRESHOLD:

@@ -147,7 +147,7 @@ def score_pair(task_id: str, generated: str, ground_truth: str) -> TaskScore:
     id_em, id_f1 = identifier_scores(gen, gt)
     return TaskScore(
         task_id=task_id,
-        em=exact_match(gen, gt),
+        em=int(gen == gt),
         es=edit_similarity(gen, gt),
         id_em=id_em,
         id_f1=id_f1,

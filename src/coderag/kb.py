@@ -132,10 +132,6 @@ def parse_file(source_text: str, file_path: str) -> ast.Module:
         raise ParseError(file_path, str(exc)) from exc
 
 
-def _slice_lines(lines: list[str], start: int, end: int) -> str:
-    return "\n".join(lines[start - 1 : end])
-
-
 def _def_span(node: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[int, int]:
     start = node.lineno
     if node.decorator_list:
@@ -143,33 +139,13 @@ def _def_span(node: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[int, int]:
     return (start, node.end_lineno or node.lineno)
 
 
-def _assign_targets(node: ast.Assign | ast.AnnAssign) -> list[str]:
-    """Simple-name targets of an assignment, in source order."""
-    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-    names: list[str] = []
-    for target in targets:
-        if isinstance(target, ast.Name):
-            names.append(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            names.extend(el.id for el in target.elts if isinstance(el, ast.Name))
-    return names
-
-
-def _make_item(
-    kind: ItemKind,
-    qualified_name: str,
-    file_path: str,
-    lines: list[str],
-    span: tuple[int, int],
-) -> CodeKnowledgeItem:
-    return CodeKnowledgeItem(
-        id=item_id(file_path, span, kind),
-        kind=kind,
-        qualified_name=qualified_name,
-        file_path=file_path,
-        line_span=span,
-        text=_slice_lines(lines, span[0], span[1]),
-    )
+def target_names(target: ast.expr) -> list[str]:
+    """The name a target binds, or the names directly inside a tuple or list."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [el.id for el in target.elts if isinstance(el, ast.Name)]
+    return []
 
 
 def extract_items(
@@ -185,48 +161,36 @@ def extract_items(
     is kept, named by its first target, as ``A, B = 1, 2`` is.
     """
     lines = source_text.split("\n")
-    items: list[CodeKnowledgeItem] = []
-
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            items.append(
-                _make_item(ItemKind.FUNCTION, node.name, file_path, lines, _def_span(node))
-            )
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            names = _assign_targets(node)
-            if names:
-                span = (node.lineno, node.end_lineno or node.lineno)
-                items.append(
-                    _make_item(ItemKind.GLOBAL_VARIABLE, names[0], file_path, lines, span)
-                )
-        elif isinstance(node, ast.ClassDef):
-            for member in node.body:
-                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    items.append(
-                        _make_item(
-                            ItemKind.CLASS_FUNCTION,
-                            f"{node.name}.{member.name}",
-                            file_path,
-                            lines,
-                            _def_span(member),
-                        )
-                    )
-                elif isinstance(member, (ast.Assign, ast.AnnAssign)):
-                    names = _assign_targets(member)
-                    if names:
-                        span = (member.lineno, member.end_lineno or member.lineno)
-                        items.append(
-                            _make_item(
-                                ItemKind.CLASS_VARIABLE,
-                                f"{node.name}.{names[0]}",
-                                file_path,
-                                lines,
-                                span,
-                            )
-                        )
     unique: dict[str, CodeKnowledgeItem] = {}
-    for item in items:
-        unique.setdefault(item.id, item)
+
+    def visit(body: list[ast.stmt], owner: str) -> None:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                kind = ItemKind.CLASS_FUNCTION if owner else ItemKind.FUNCTION
+                name, span = node.name, _def_span(node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n for target in targets for n in target_names(target)]
+                if not names:
+                    continue
+                kind = ItemKind.CLASS_VARIABLE if owner else ItemKind.GLOBAL_VARIABLE
+                name, span = names[0], (node.lineno, node.end_lineno or node.lineno)
+            elif isinstance(node, ast.ClassDef) and not owner:
+                visit(node.body, node.name)
+                continue
+            else:
+                continue
+            item = CodeKnowledgeItem(
+                id=item_id(file_path, span, kind),
+                kind=kind,
+                qualified_name=f"{owner}.{name}" if owner else name,
+                file_path=file_path,
+                line_span=span,
+                text="\n".join(lines[span[0] - 1 : span[1]]),
+            )
+            unique.setdefault(item.id, item)
+
+    visit(tree.body, "")
     return list(unique.values())
 
 

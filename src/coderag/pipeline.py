@@ -171,7 +171,9 @@ class CompletionResult:
 
 
 class _Stage:
-    """Tags failures with their stage and records wall time."""
+    """Tags failures with their stage and records wall time.  Only an
+    ``Exception`` is wrapped: ``KeyboardInterrupt`` and ``SystemExit``
+    pass through unchanged."""
 
     def __init__(self, name: str, timings: dict[str, float]):
         self.name = name
@@ -183,7 +185,7 @@ class _Stage:
 
     def __exit__(self, exc_type, exc, tb):
         self.timings[self.name] = time.perf_counter() - self._start
-        if exc is not None and not isinstance(exc, PipelineStageError):
+        if isinstance(exc, Exception) and not isinstance(exc, PipelineStageError):
             raise PipelineStageError(self.name, exc) from exc
         return False
 

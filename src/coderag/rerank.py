@@ -13,6 +13,7 @@ is never exceeded.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence, TypeVar
 
@@ -32,8 +33,9 @@ class PickerClient(Protocol):
 
     ``pick`` returns a 0-based index into ``window``.  An unparsable or
     out-of-window reply may surface as :class:`InvalidPickReply` or as an
-    out-of-range integer; either way the engine retries once and then
-    falls back to window position 0.  Must allow concurrent calls:
+    out-of-range integer (:func:`checked_pick`); either way the tournament
+    retries once and then falls back to window position 0, and
+    :mod:`coderag.distill` counts no vote.  Must allow concurrent calls:
     ``coderag evaluate`` runs tasks on several threads.  A client that
     sets ``waits_on_io`` has the groups of each internal tournament layer
     picked at once on the fan-out pool (:mod:`coderag.fanout`); any other
@@ -41,6 +43,19 @@ class PickerClient(Protocol):
     """
 
     def pick(self, query_text: str, window: Sequence[str]) -> int: ...
+
+
+def checked_pick(picker: PickerClient, query_text: str, window: Sequence[str]) -> int | None:
+    """The picker's reply if it is a position in ``window``, else ``None``.
+
+    :class:`InvalidPickReply` is an invalid reply too;
+    :class:`PickerUnavailable` propagates.
+    """
+    try:
+        reply = picker.pick(query_text, window)
+    except InvalidPickReply:
+        return None
+    return reply if isinstance(reply, int) and 0 <= reply < len(window) else None
 
 
 # Slotted: about 50 per task, and a caller may keep every task's result.
@@ -110,7 +125,8 @@ class _Tournament:
         self.query_text = query_text
         self.picker = picker
         self.w = w
-        self.picker_calls = 0
+        self.picker_calls = 0  # counted as each call is made, failing ones too
+        self._calls_lock = threading.Lock()  # internal layers call from pool threads
         self.trace: list[PickEvent] = []
 
         positions = list(range(len(self.ids)))
@@ -121,9 +137,12 @@ class _Tournament:
                 self.home.setdefault(pos, []).append(leaf)
 
         self.leaf_winner: list[int | None] = [None] * len(self.members)
+        self.layers: list[list[int | None]] = []
+
+    def build(self) -> None:
+        """Pick every leaf, then every internal layer up to the root."""
         for leaf in range(len(self.members)):
             self.leaf_winner[leaf] = self._pick_leaf(leaf)
-        self.layers: list[list[int | None]] = []
         values: list[int | None] = self.leaf_winner
         while len(values) > 1:
             groups = [
@@ -178,9 +197,8 @@ class _Tournament:
 
     def _pick_layer(self, groups: list[list[int]]) -> list[int | None]:
         """The winner of each group.  The groups are independent, so their
-        picker calls may overlap; counts and trace events are recorded on
-        this thread, in group order, exactly as if the groups ran one by
-        one."""
+        picker calls may overlap; trace events are recorded on this
+        thread, in group order, exactly as if the groups ran one by one."""
         contested = [group for group in groups if len(group) > 1]
         decisions = iter(call_each(self.picker, self._decide, contested))
         return [
@@ -188,27 +206,25 @@ class _Tournament:
             for group in groups
         ]
 
-    def _record(self, decision: tuple[int, int, PickEvent]) -> int:
-        winner, calls, event = decision
-        self.picker_calls += calls
+    def _record(self, decision: tuple[int, PickEvent]) -> int:
+        winner, event = decision
         self.trace.append(event)
         return winner
 
-    def _decide(self, candidates: list[int]) -> tuple[int, int, PickEvent]:
-        """(winner, picker calls made, trace event) for one window.  Reads
-        no state that picks change, so windows may be decided at once."""
+    def _decide(self, candidates: list[int]) -> tuple[int, PickEvent]:
+        """(winner, trace event) for one window.  Reads no state that picks
+        change, so windows may be decided at once."""
         window_texts = [self.texts[p] for p in candidates]
         window_ids = tuple(self.ids[p] for p in candidates)
-        for calls in (1, 2):
-            try:
-                reply = self.picker.pick(self.query_text, window_texts)
-            except InvalidPickReply:
-                reply = None
-            if isinstance(reply, int) and 0 <= reply < len(candidates):
+        for _ in range(2):
+            with self._calls_lock:
+                self.picker_calls += 1
+            reply = checked_pick(self.picker, self.query_text, window_texts)
+            if reply is not None:
                 winner = candidates[reply]
-                return winner, calls, PickEvent(window_ids, self.ids[winner])
+                return winner, PickEvent(window_ids, self.ids[winner])
         # Two invalid replies: deterministic fallback to window position 0.
-        return candidates[0], 2, PickEvent(window_ids, self.ids[candidates[0]], fallback=True)
+        return candidates[0], PickEvent(window_ids, self.ids[candidates[0]], fallback=True)
 
 
 def heap_rerank(
@@ -222,7 +238,8 @@ def heap_rerank(
     """Extract the top-u items in preference order via the tournament.
 
     If the picker is unreachable, falls back to the first u items of the
-    input order and flags the outcome as degraded.
+    input order and flags the outcome as degraded; ``picker_calls`` and
+    ``trace`` still hold the calls made and the events recorded before.
     """
     if u < 1:
         raise ValueError("u must be >= 1")
@@ -234,8 +251,9 @@ def heap_rerank(
         return RerankOutcome(ordered_items=[], picker_calls=0)
 
     u_eff = min(u, len(item_ids))
+    arena = _Tournament(item_ids, texts, query_text, picker, w)
     try:
-        arena = _Tournament(item_ids, texts, query_text, picker, w)
+        arena.build()
         ordered: list[int] = []
         while len(ordered) < u_eff:
             champion = arena.root()
@@ -251,7 +269,10 @@ def heap_rerank(
         )
     except PickerUnavailable:
         return RerankOutcome(
-            ordered_items=list(item_ids[:u_eff]), picker_calls=0, degraded=True
+            ordered_items=list(item_ids[:u_eff]),
+            picker_calls=arena.picker_calls,
+            trace=arena.trace,
+            degraded=True,
         )
 
 

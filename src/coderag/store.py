@@ -184,6 +184,17 @@ def _read(spec: _Container, kb_dir, n_items: int, stamp: bytes):
     return path, counts, arrays, tables
 
 
+def _check_postings(n_items: int, term_ptr, post_pos, post_tf) -> None:
+    """Each term owns a non-empty run of the postings, and each posting
+    names one of the ``n_items`` items and counts the term at least once."""
+    if term_ptr[0] != 0 or term_ptr[-1] != len(post_pos) or np.any(np.diff(term_ptr) <= 0):
+        raise ValueError("term pointers do not split the postings into non-empty runs")
+    if len(post_pos) and (post_pos.min() < 0 or post_pos.max() >= n_items):
+        raise ValueError(f"a posting names no item of the {n_items}")
+    if len(post_tf) and post_tf.min() < 1:
+        raise ValueError("a posting has a term frequency below 1")
+
+
 def save(
     out_dir: str | Path, kb: CodeKnowledgeBase, sparse: SparseIndex, dense: DenseIndex
 ) -> None:
@@ -203,6 +214,7 @@ def load(kb_dir: str | Path) -> tuple[CodeKnowledgeBase, SparseIndex, DenseIndex
     stamp = fingerprint(kb)
     path, _, arrays, (terms,) = _read(SPARSE, kb_dir, len(kb), stamp)
     with _reading(path):
+        _check_postings(len(kb), *arrays)
         vocabulary = {term: tid for tid, term in enumerate(terms)}
         sparse = index_from_postings(item_ids, vocabulary, *arrays)
     path, (count, dim), (vectors,), _ = _read(DENSE, kb_dir, len(kb), stamp)

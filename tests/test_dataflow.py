@@ -13,6 +13,7 @@ import ast
 import functools
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from coderag.dataflow import (
     _longest_parsable,
     build_dataflow_graph,
     dataflow_retrieve,
+    dependency_names,
     to_dot,
 )
 from coderag.errors import GraphUnavailable
@@ -256,6 +258,10 @@ def test_lookup_matches_scan_on_random_kbs(case):
 
 # (prefix, to_dot output) pairs recorded from the eager graph builder: every
 # ORACLE_TABLE prefix plus three with imports, nested scopes and repeats.
+# Entries 23 on pin statement kinds the oracle table does not reach:
+# async for/with, for/while with else, with-as targets, try/except/else/
+# finally with the cursor in each block, decorated and nested defs and
+# classes, del/global/return, lambda and comprehension targets.
 RECORDED_DOT = json.loads((Path(__file__).parent / "dataflow_dot.json").read_text("utf-8"))
 
 
@@ -266,6 +272,30 @@ def test_recorded_dot_covers_oracle_table():
 @pytest.mark.parametrize("prefix,dot", RECORDED_DOT, ids=range(len(RECORDED_DOT)))
 def test_dot_is_byte_identical_to_recorded(prefix, dot):
     assert to_dot(build_dataflow_graph(prefix)) == dot
+
+
+# --- every statement kind is walked --------------------------------------------
+
+MATCH_AND_TRY_STAR = [
+    # the cursor statement inside a case
+    "from app import load_config\nmatch mode:\n    case 'prod':\n        load_config()",
+    # a binding made in a case, used after the match
+    "from app import load_config\nmatch mode:\n    case 'prod':\n        cfg = load_config()\n"
+    "start(cfg)",
+    # a binding made in a try that has an except* handler
+    pytest.param(
+        "from app import load_config\ntry:\n    cfg = load_config()\nexcept* OSError:\n"
+        "    pass\nstart(cfg)",
+        marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="except* is 3.11 syntax"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "prefix", MATCH_AND_TRY_STAR, ids=["cursor in a case", "bound in a case", "try with except*"]
+)
+def test_match_and_except_star_blocks_are_walked(prefix):
+    assert dependency_names(build_dataflow_graph(prefix)) == ["load_config"]
 
 
 # --- bounded prefix parse -----------------------------------------------------

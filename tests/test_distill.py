@@ -18,7 +18,7 @@ from coderag.distill import (
     save_samples,
     vote_on_subset,
 )
-from coderag.errors import PickerUnavailable
+from coderag.errors import InvalidPickReply, PickerUnavailable
 
 
 class ArgmaxPicker:
@@ -119,6 +119,30 @@ def test_vote_on_subset_no_consensus_returns_none():
             return self.i % len(window)
 
     assert vote_on_subset("q", snippets(5), Cycler()) is None
+
+
+@pytest.mark.parametrize("reply", ["raise", 99, -1, "0"])
+def test_invalid_replies_are_not_votes(reply):
+    class Invalid:
+        def pick(self, query_text, window):
+            if reply == "raise":
+                raise InvalidPickReply("noise")
+            return reply
+
+    pairs = [(f"q{k}", snippets(6)) for k in range(3)]
+    assert build_distillation_data(pairs, Invalid(), rng_seed=0) == []
+
+
+def test_one_invalid_reply_leaves_no_sample():
+    class LastReplyInvalid:
+        calls = 0
+
+        def pick(self, query_text, window):
+            self.calls += 1
+            return 99 if self.calls == 5 else 1
+
+    # Four valid votes for s1; the fifth reply is not a vote for s0.
+    assert vote_on_subset("q", snippets(3), LastReplyInvalid()) is None
 
 
 def test_emitted_record_shape():

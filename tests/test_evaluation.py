@@ -262,6 +262,20 @@ def test_score_pair_normalizes_line_endings():
     assert score.em == 1 and score.es == 1.0
 
 
+def test_score_pair_normalizes_once():
+    # One trailing newline is stripped, not two: "x\n" and "x" differ.
+    score = score_pair("t", "x\n\n", "x")
+    assert (score.em, score.es) == (0, 0.5)
+
+
+@given(st.text(alphabet="x \r\n", max_size=8), st.text(alphabet="x \r\n", max_size=8))
+def test_score_pair_exact_match_implies_perfect_scores(generated, ground_truth):
+    score = score_pair("t", generated, ground_truth)
+    if score.em == 1:
+        assert score.es == 1.0
+        assert (score.id_em, score.id_f1) == (1, 1.0)
+
+
 # --- loaders ----------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ order and first failure; in-process clients never reach the pool."""
 from __future__ import annotations
 
 import random
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -253,6 +254,30 @@ def test_picker_outage_in_one_internal_group_degrades_the_rerank():
     assert outcome.degraded
     assert outcome.ordered_items == ids[:u]
     assert picker.active == 0
+    # Every call made is counted, the failing one included; the leaf
+    # layer's events, recorded before the outage, are kept.
+    assert outcome.picker_calls == picker.calls > leaves
+    assert outcome.trace == trace[:leaves]
+
+
+def test_picker_calls_are_counted_exactly_under_thread_switches():
+    # More pool threads than cores, switching as often as the interpreter
+    # allows: an unlocked count would lose updates.
+    n, u, w = 120, 12, 2
+    ids = [f"i{k:03d}" for k in range(n)]
+    scores = dict(zip(ids, random.Random(5).sample(range(10_000), n)))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    overlapped = False
+    try:
+        for seed in range(3):
+            picker = SlowPicker(scores, seed=seed, max_delay=0.0005)
+            outcome = heap_rerank(ids, ids, "q", picker, u, w)
+            assert outcome.picker_calls == picker.calls
+            overlapped |= picker.peak > 1
+    finally:
+        sys.setswitchinterval(old)
+    assert overlapped
 
 
 # --- in-process clients never use the pool ------------------------------------

@@ -281,6 +281,19 @@ def test_stage_errors_carry_stage_tag(mini_repo):
     assert exc_info.value.stage == "generate"
 
 
+def test_keyboard_interrupt_is_not_a_stage_error(mini_repo):
+    index = RepoIndex.build(mini_repo, StubEmbedder())
+
+    class InterruptedProbe:
+        def greedy_score(self, prompt, m):
+            raise KeyboardInterrupt
+
+    clients = stub_clients()
+    clients.probe = InterruptedProbe()
+    with pytest.raises(KeyboardInterrupt):
+        complete(mini_task(mini_repo), index, clients)
+
+
 def test_artifact_dump_is_json_ready(mini_repo):
     import json
 

@@ -189,6 +189,26 @@ def test_unreachable_picker_degrades_to_input_order():
     assert outcome.ordered_items == ["a", "b"]
 
 
+def test_picker_outage_keeps_the_calls_made_before_it():
+    class DiesOnSixthCall(OrderPicker):
+        def pick(self, query_text, window):
+            if self.calls == 5:
+                self.calls += 1
+                raise PickerUnavailable("connection refused")
+            return super().pick(query_text, window)
+
+    n, u, w = 31, 10, 3
+    ids = [f"i{k:02d}" for k in range(n)]
+    texts = [f"s{k:02d}" for k in range(n)]
+    scores = {t: 1000 - k for k, t in enumerate(texts)}
+    full = heap_rerank(ids, texts, "q", OrderPicker(scores), u, w)
+    picker = DiesOnSixthCall(scores)
+    outcome = heap_rerank(ids, texts, "q", picker, u, w)
+    assert outcome.degraded and outcome.ordered_items == ids[:u]
+    assert outcome.picker_calls == picker.calls == 6
+    assert outcome.trace == full.trace[:5]
+
+
 # --- rerank over a retrieval list ---------------------------------------------
 
 

@@ -126,3 +126,40 @@ def test_previous_version_is_refused(mini_repo, tmp_path, name):
     assert exc_info.value.path == tmp_path / name
     assert "re-run `coderag index`" in str(exc_info.value)
 
+
+
+# Single integers of sparse.idx's postings arrays, patched: (array, index,
+# value), where the value may depend on the counts (items, terms, postings).
+POSTINGS_PATCHES = {
+    "term pointers start past 0": ("term_ptr", 0, lambda c: 1),
+    "a term with no postings": ("term_ptr", 1, lambda c: 0),
+    "term pointers fall back": ("term_ptr", 2, lambda c: 0),
+    "term pointers end short of the postings": ("term_ptr", -1, lambda c: c[2] - 1),
+    "term pointers end past the postings": ("term_ptr", -1, lambda c: c[2] + 1),
+    "a posting past the item count": ("post_pos", 0, lambda c: c[0]),
+    "a negative posting": ("post_pos", -1, lambda c: -1),
+    "a zero term frequency": ("post_tf", 0, lambda c: 0),
+}
+
+
+@pytest.mark.parametrize("patch", sorted(POSTINGS_PATCHES))
+def test_damaged_postings_are_refused(mini_repo, tmp_path, patch):
+    RepoIndex.build(mini_repo, StubEmbedder()).save(tmp_path)
+    path = tmp_path / "sparse.idx"
+    blob = bytearray(path.read_bytes())
+    header = struct.Struct("<4sI3I32s")
+    counts = header.unpack_from(blob)[2:5]
+    _, terms, postings = counts
+    layout = {  # name: (offset, item format, length)
+        "term_ptr": (header.size, "<q", terms + 1),
+        "post_pos": (header.size + 8 * (terms + 1), "<i", postings),
+        "post_tf": (header.size + 8 * (terms + 1) + 4 * postings, "<i", postings),
+    }
+    array, index, value = POSTINGS_PATCHES[patch]
+    offset, fmt, length = layout[array]
+    struct.pack_into(fmt, blob, offset + struct.calcsize(fmt) * (index % length), value(counts))
+    path.write_bytes(bytes(blob))
+    with pytest.raises(IndexFormatError) as exc_info:
+        RepoIndex.load(tmp_path)
+    assert exc_info.value.path == path
+    assert str(path) in str(exc_info.value)
