@@ -30,10 +30,10 @@ from .evaluation import (
     load_tasks,
     require_ground_truth,
     save_report,
-    task_from_record,
+    task_from_json,
 )
 from .fanout import FANOUT_WIDTH
-from .pipeline import CompletionTask, RepoIndex, complete, dump_artifacts
+from .pipeline import CompletionResult, CompletionTask, RepoIndex, complete, dump_artifacts
 from .retrieve import ALL_PATHS
 
 EXIT_OK = 0
@@ -110,7 +110,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def _read_task(path: str) -> CompletionTask:
     with open(path, encoding="utf-8") as fh:
-        return task_from_record(json.load(fh))
+        return task_from_json(json.load(fh))
 
 
 def cmd_complete(args: argparse.Namespace) -> int:
@@ -129,55 +129,51 @@ def cmd_complete(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _indexes_for(tasks, kb_dir: str | None, embedder) -> dict[str, RepoIndex]:
+def _load_dataset(args: argparse.Namespace) -> list[CompletionTask]:
+    tasks = load_tasks(args.dataset, adapter=args.adapter)
+    if not tasks:
+        raise SystemExit("error: dataset is empty")
+    return tasks
+
+
+def _task_runner(tasks, kb_dir: str | None, cfg: RunConfig):
+    """The one function that turns a task into its ``complete`` result or
+    the exception it raised; ``KeyboardInterrupt`` and ``SystemExit`` are
+    not task outcomes and propagate."""
+    clients = make_clients(cfg)
     if kb_dir:
         shared = _load_index(kb_dir)
-        return {task.repo_root: shared for task in tasks}
-    out: dict[str, RepoIndex] = {}
-    for task in tasks:
-        if task.repo_root not in out:
-            out[task.repo_root] = RepoIndex.build(task.repo_root, embedder)
-    return out
+        indexes = {task.repo_root: shared for task in tasks}
+    else:
+        indexes = {}
+        for task in tasks:
+            if task.repo_root not in indexes:
+                indexes[task.repo_root] = RepoIndex.build(task.repo_root, clients.embedder)
 
-
-def _run_tasks(tasks, indexes, clients, cfg: RunConfig) -> list:
-    """The result of ``complete`` (or the exception it raised) per task,
-    in task order."""
-
-    def one(task: CompletionTask):
+    def run(task: CompletionTask) -> CompletionResult | Exception:
         try:
             return complete(task, indexes[task.repo_root], clients, cfg)
         except Exception as exc:
             return exc
 
+    return run
+
+
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    cfg = _resolve_config(args)
+    tasks = _load_dataset(args)
+    require_ground_truth(tasks)  # before any model call
+    run = _task_runner(tasks, args.kb_dir, cfg)
     # Tasks overlap at the fan-out width.  Every client make_clients builds
     # allows concurrent calls; wire requests are capped at this width, so
     # more task threads would only queue; and stub tasks hold the GIL, so
     # 2 and 4 threads took the same time (300 tasks, 2-vCPU host).  The
     # pool is not the fan-out pool, whose calls a task waits on.
     with ThreadPoolExecutor(max_workers=FANOUT_WIDTH) as pool:
-        return list(pool.map(one, tasks))
-
-
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    tasks = load_tasks(args.dataset, adapter=args.adapter)
-    if not tasks:
-        print("error: dataset is empty", file=sys.stderr)
-        return EXIT_USAGE
-    require_ground_truth(tasks)  # before any model call
-    clients = make_clients(cfg)
-    indexes = _indexes_for(tasks, args.kb_dir, clients.embedder)
-    # By position: task ids need not be unique.
-    outcomes = iter(_run_tasks(tasks, indexes, clients, cfg))
-
-    def run(task: CompletionTask) -> str:
-        res = next(outcomes)  # evaluate calls run once per task, in order
-        if isinstance(res, Exception):
-            raise res
-        return res.generated
-
-    report = evaluate(tasks, run)
+        results = list(pool.map(run, tasks))  # by position: ids need not be unique
+    report = evaluate(
+        tasks, [r if isinstance(r, Exception) else r.generated for r in results]
+    )
     print(format_report(report))
     if args.report:
         save_report(report, args.report)
@@ -207,20 +203,18 @@ def cmd_distill(args: argparse.Namespace) -> int:
 
 def cmd_bench_timings(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    tasks = load_tasks(args.dataset, adapter=args.adapter)
-    if not tasks:
-        print("error: dataset is empty", file=sys.stderr)
-        return EXIT_USAGE
-    clients = make_clients(cfg)
-    indexes = _indexes_for(tasks, args.kb_dir, clients.embedder)
+    tasks = _load_dataset(args)
+    run = _task_runner(tasks, args.kb_dir, cfg)
 
+    # One task at a time on this thread: stage times are wall times, which
+    # overlapping tasks would inflate, and Ctrl-C must stop the command at
+    # once rather than wait for a pool worker to finish its task.
     sums: dict[str, float] = {}  # stage -> seconds, in execution order
     failed = 0
     for task in tasks:
-        try:
-            result = complete(task, indexes[task.repo_root], clients, cfg)
-        except CodeRagError as exc:
-            print(f"error: task {task.task_id}: {exc}", file=sys.stderr)
+        result = run(task)
+        if isinstance(result, Exception):
+            print(f"error: task {task.task_id}: {result}", file=sys.stderr)
             failed += 1
             continue
         for stage, seconds in result.timings.items():
@@ -259,11 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_complete.set_defaults(fn=cmd_complete)
 
     p_eval = sub.add_parser("evaluate", help="score a dataset")
-    p_eval.add_argument("--dataset", required=True, help="line-delimited JSON tasks")
     p_eval.add_argument("--report", help="write the metrics report JSON here")
-    p_eval.add_argument("--kb-dir", help="prebuilt index shared by all tasks")
-    p_eval.add_argument("--adapter", choices=sorted(ADAPTERS), default="native")
-    _add_config_flags(p_eval)
     p_eval.set_defaults(fn=cmd_evaluate)
 
     p_distill = sub.add_parser("distill", help="emit reranker distillation samples")
@@ -277,11 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_distill.set_defaults(fn=cmd_distill)
 
     p_bench = sub.add_parser("bench-timings", help="mean wall time per stage")
-    p_bench.add_argument("--dataset", required=True)
-    p_bench.add_argument("--kb-dir")
-    p_bench.add_argument("--adapter", choices=sorted(ADAPTERS), default="native")
-    _add_config_flags(p_bench)
     p_bench.set_defaults(fn=cmd_bench_timings)
+
+    for p_dataset in (p_eval, p_bench):
+        p_dataset.add_argument("--dataset", required=True, help="line-delimited JSON tasks")
+        p_dataset.add_argument("--kb-dir", help="prebuilt index shared by all tasks")
+        p_dataset.add_argument("--adapter", choices=sorted(ADAPTERS), default="native")
+        _add_config_flags(p_dataset)
 
     return parser
 

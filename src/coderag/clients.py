@@ -52,16 +52,14 @@ def approx_token_count(text: str) -> int:
 
 class StubProbe:
     """Identifier-overlap probe: confidence is minus the number of distinct
-    identifiers in the prompt that the target does not share (always <= 0,
-    higher means more overlap).  The generation step count is accepted for
-    interface compatibility and ignored.
+    identifiers in the prompt (always <= 0).  A probe prompt is a chunk
+    followed by the target chunk, so the more identifiers the chunk shares
+    with the target, the higher it scores.  The generation step count is
+    accepted for interface compatibility and ignored.
     """
 
-    def __init__(self, target_text: str = ""):
-        self._target_ids = identifier_set(target_text)
-
     def greedy_score(self, prompt: str, m: int) -> float:
-        return -float(len(identifier_set(prompt) - self._target_ids))
+        return -float(len(identifier_set(prompt)))
 
 
 class StubEmbedder:
@@ -119,15 +117,9 @@ class OverlapPicker:
 
 
 class EchoGenerator:
-    """Deterministic generator: returns a fixed completion, or echoes the
-    prompt's final (cursor) line when none is configured."""
-
-    def __init__(self, fixed_completion: str | None = None):
-        self._fixed = fixed_completion
+    """Deterministic generator: echoes the prompt's final (cursor) line."""
 
     def generate(self, prompt: str, config) -> str:
-        if self._fixed is not None:
-            return self._fixed
         return prompt.rsplit("\n", 1)[-1]
 
     def count_tokens(self, text: str) -> int:

@@ -23,7 +23,7 @@ from functools import cached_property
 
 from .errors import GraphUnavailable
 from .kb import CodeKnowledgeBase, name_match_key, target_names
-from .lexing import KEYWORDS
+from .lexing import KEYWORDS, STRING_PREFIXES, skip_string
 
 WALK_DEPTH = 4
 DATAFLOW_SCORE = float("inf")  # provenance sentinel; reranking ignores path scores
@@ -33,6 +33,10 @@ MODULE_SCOPE = ""
 _CHAIN_RE = re.compile(r"[A-Za-z_]\w*(?:\s*\.\s*[A-Za-z_]\w*)*")
 _ASSIGN_SPLIT_RE = re.compile(r"(?<![=!<>])=(?!=)")
 _CALL_HEAD_RE = re.compile(r"^\s*[A-Za-z_]\w*(?:\s*\.\s*[A-Za-z_]\w*)*\s*\(")
+# A comment, or a quote with the whole name (a possible string prefix)
+# glued to it.  The look-behind starts a name only at its first character,
+# which also keeps a long name to one backtracking pass.
+_STRING_OR_COMMENT_RE = re.compile(r"#|(?:(?<![A-Za-z0-9_])([A-Za-z_][A-Za-z0-9_]*))?(['\"])")
 
 
 @dataclass(frozen=True)
@@ -147,7 +151,8 @@ class _PrefixVisitor:
         binds at ``line``, any other expression is a use, a nested
         statement is visited, and a ``withitem`` or ``match_case`` is
         walked by this same rule.  An ``except`` handler's name binds at
-        the index of the next statement to visit; its type is not a use."""
+        an index of its own, before the handler body; its type is not a
+        use."""
         targets = (getattr(node, "target", None), getattr(node, "optional_vars", None))
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.stmt):
@@ -157,6 +162,7 @@ class _PrefixVisitor:
                     self.bindings.append(
                         _Binding(child.name, child.lineno, self.stmt_count, scope)
                     )
+                    self.stmt_count += 1  # so the handler body sees the name
                 for inner in child.body:
                     self._visit_stmt(inner, scope)
             elif not isinstance(child, ast.expr):
@@ -285,28 +291,20 @@ def _longest_parsable(lines: list[str]) -> tuple[ast.Module, int]:
 
 
 def _strip_noncode(line: str) -> str:
-    """Drop comments and string contents so lexical scans see only code."""
+    """Drop the comment and every string literal, each literal leaving one
+    space, so lexical scans see only code.  Strings are found by
+    :mod:`coderag.lexing`'s rule: a quote, or a string prefix (``f``,
+    ``rb``, ...) directly followed by one, starts a literal."""
     out: list[str] = []
-    i, n = 0, len(line)
-    while i < n:
-        ch = line[i]
-        if ch == "#":
-            break
-        if ch in ("'", '"'):
-            quote = ch
-            i += 1
-            while i < n:
-                if line[i] == "\\":
-                    i += 2
-                    continue
-                if line[i] == quote:
-                    i += 1
-                    break
-                i += 1
-            out.append(" ")
-            continue
-        out.append(ch)
-        i += 1
+    i = 0
+    while (m := _STRING_OR_COMMENT_RE.search(line, i)) is not None:
+        out.append(line[i : m.start()])
+        if m.group() == "#":
+            return "".join(out)
+        name = m.group(1) or ""
+        out.append(" " if name.lower() in STRING_PREFIXES else name + " ")
+        i = skip_string(line, m.start(2))
+    out.append(line[i:])
     return "".join(out)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -121,24 +121,7 @@ class MetricsReport:
     per_task: list[TaskScore] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "em": self.em,
-            "es": self.es,
-            "id_em": self.id_em,
-            "id_f1": self.id_f1,
-            "per_task": [
-                {
-                    "task_id": t.task_id,
-                    "em": t.em,
-                    "es": t.es,
-                    "id_em": t.id_em,
-                    "id_f1": t.id_f1,
-                    "failed": t.failed,
-                    "error": t.error,
-                }
-                for t in self.per_task
-            ],
-        }
+        return asdict(self)
 
 
 def score_pair(task_id: str, generated: str, ground_truth: str) -> TaskScore:
@@ -162,27 +145,21 @@ def require_ground_truth(dataset: Sequence[CompletionTask]) -> None:
 
 
 def evaluate(
-    dataset: Sequence[CompletionTask], run: Callable[[CompletionTask], str]
+    dataset: Sequence[CompletionTask], outputs: Sequence[str | Exception]
 ) -> MetricsReport:
-    """Score ``run`` over the dataset; aggregates are arithmetic means.
-
-    ``run`` is called once per task, in dataset order, and only after
-    every task is known to have a ground truth.  A task whose runner
-    raises is flagged failed and scores 0 everywhere.
-    """
+    """Score one output per task, in dataset order; aggregates are
+    arithmetic means.  An output is the generated text, or the exception
+    the task's run raised: that task is flagged failed, keeps the
+    exception's text and scores 0 everywhere."""
     if not dataset:
         raise ValueError("dataset is empty")
     require_ground_truth(dataset)
-    per_task: list[TaskScore] = []
-    for task in dataset:
-        try:
-            generated = run(task)
-        except Exception as exc:
-            per_task.append(
-                TaskScore(task.task_id, 0, 0.0, 0, 0.0, failed=True, error=str(exc))
-            )
-            continue
-        per_task.append(score_pair(task.task_id, generated, task.ground_truth))
+    per_task = [
+        TaskScore(task.task_id, 0, 0.0, 0, 0.0, failed=True, error=str(output))
+        if isinstance(output, Exception)
+        else score_pair(task.task_id, output, task.ground_truth)
+        for task, output in zip(dataset, outputs, strict=True)
+    ]
     n = len(per_task)
     return MetricsReport(
         em=sum(t.em for t in per_task) / n,
@@ -211,8 +188,14 @@ def _task_from_fields(
     task_id: str, repo: str, file_path: str, prefix: str, ground_truth: str | None,
     cursor_line: int | None,
 ) -> CompletionTask:
-    if not prefix:
-        raise ValueError(f"task {task_id}: prefix is empty")
+    if not isinstance(prefix, str) or not prefix:
+        raise ValueError(f"task {task_id}: prefix must be a non-empty string, got {prefix!r}")
+    if not isinstance(repo, str):
+        raise ValueError(f"task {task_id}: repo must be a string, got {repo!r}")
+    if ground_truth is not None and not isinstance(ground_truth, str):
+        raise ValueError(f"task {task_id}: ground_truth must be a string, got {ground_truth!r}")
+    if cursor_line is not None and type(cursor_line) is not int:
+        raise ValueError(f"task {task_id}: cursor_line must be an integer, got {cursor_line!r}")
     if cursor_line is None:
         cursor_line = len(prefix.replace("\r\n", "\n").split("\n"))
     return CompletionTask(
@@ -252,6 +235,8 @@ def adapt_cceval_record(record: dict) -> CompletionTask:
     left context is used; the right context, if present, is ignored.
     """
     meta = record.get("metadata", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"metadata must be an object, got {meta!r}")
     return _task_from_fields(
         task_id=str(_first_key(meta, ("task_id", "id"), _first_key(record, ("task_id",), "?"))),
         repo=_first_key(meta, ("repository", "repo"), record.get("repo", "")),
@@ -285,14 +270,26 @@ ADAPTERS: dict[str, Callable[[dict], CompletionTask]] = {
 }
 
 
+def task_from_json(record: object, adapter: str = "native") -> CompletionTask:
+    """One decoded JSON task through the named adapter.  A record that is
+    not an object, or a field of the wrong type, raises ``ValueError``."""
+    if not isinstance(record, dict):
+        raise ValueError(f"a task must be a JSON object, got {type(record).__name__}")
+    return ADAPTERS[adapter](record)
+
+
 def load_tasks(path: str | Path, adapter: str = "native") -> list[CompletionTask]:
-    """Read line-delimited JSON tasks through the named adapter."""
-    convert = ADAPTERS[adapter]
+    """Read line-delimited JSON tasks through the named adapter; a line
+    that is not valid JSON or not a valid task raises ``ValueError``
+    naming it."""
     tasks: list[CompletionTask] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if line.strip():
-                tasks.append(convert(json.loads(line)))
+                try:
+                    tasks.append(task_from_json(json.loads(line), adapter))
+                except ValueError as exc:  # json.JSONDecodeError included
+                    raise ValueError(f"{path} line {lineno}: {exc}") from exc
     return tasks
 
 

@@ -21,7 +21,7 @@ from typing import Iterator
 KEYWORDS = frozenset(keyword.kwlist)
 
 # Prefix letters that may glue a string literal to a preceding "name".
-_STRING_PREFIXES = frozenset(
+STRING_PREFIXES = frozenset(
     {"r", "b", "u", "f", "rb", "br", "rf", "fr"}
 )
 
@@ -57,7 +57,7 @@ def subtokens(text: str) -> list[str]:
     return list(chain.from_iterable(map(_split_word, _WORD_RE.findall(text))))
 
 
-def _skip_string(code: str, i: int) -> int:
+def skip_string(code: str, i: int) -> int:
     """Return the index just past the string literal starting at ``i``.
 
     ``code[i]`` must be a quote character.  Unterminated strings swallow
@@ -90,14 +90,14 @@ def _iter_name_tokens(code: str) -> Iterator[str]:
             nl = code.find("\n", i)
             i = n if nl < 0 else nl + 1
         elif ch in ("'", '"'):
-            i = _skip_string(code, i)
+            i = skip_string(code, i)
         elif ch in _NAME_START:
             j = i + 1
             while j < n and code[j] in _NAME_CONT:
                 j += 1
             name = code[i:j]
-            if j < n and code[j] in ("'", '"') and name.lower() in _STRING_PREFIXES:
-                i = _skip_string(code, j)
+            if j < n and code[j] in ("'", '"') and name.lower() in STRING_PREFIXES:
+                i = skip_string(code, j)
                 continue
             yield name
             i = j

@@ -418,6 +418,94 @@ def test_bench_timings_counts_failed_tasks(indexed_mini, tmp_path, capsys):
     float(generate_row.split()[1])
 
 
+def test_bench_timings_counts_any_task_exception_as_failed(
+    indexed_mini, tmp_path, capsys, monkeypatch
+):
+    repo, idx = indexed_mini
+    dataset = write_dataset(tmp_path / "tasks.jsonl", repo, count=3)
+    real_complete = complete
+
+    def flaky(task, *args):
+        if task.task_id == "d1":
+            raise RuntimeError("model crashed")
+        return real_complete(task, *args)
+
+    monkeypatch.setattr("coderag.cli.complete", flaky)
+    assert run_cli("bench-timings", "--dataset", str(dataset), "--kb-dir", str(idx)) == 0
+    captured = capsys.readouterr()
+    assert "error: task d1: model crashed" in captured.err
+    assert "mean seconds per stage over 2 tasks:" in captured.out
+    assert captured.out.rstrip().splitlines()[-1] == "failed tasks: 1/3"
+
+
+def test_bench_timings_interrupt_stops_before_the_next_task(indexed_mini, tmp_path, monkeypatch):
+    repo, idx = indexed_mini
+    dataset = write_dataset(tmp_path / "tasks.jsonl", repo, count=2)
+    started = []
+
+    def interrupted(task, *args):
+        started.append(task.task_id)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("coderag.cli.complete", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli("bench-timings", "--dataset", str(dataset), "--kb-dir", str(idx))
+    assert started == ["d0"]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "bench-timings"])
+def test_empty_dataset_exits_2(indexed_mini, tmp_path, capsys, command):
+    _, idx = indexed_mini
+    dataset = tmp_path / "tasks.jsonl"
+    dataset.write_text("\n")
+    assert run_cli(command, "--dataset", str(dataset), "--kb-dir", str(idx)) == 2
+    assert capsys.readouterr().err == "error: dataset is empty\n"
+
+
+BAD_RECORDS = {
+    "not an object": ("[1]", "a task must be a JSON object, got list"),
+    "prefix not a string": (
+        {"prefix": 5}, "task d1: prefix must be a non-empty string, got 5"
+    ),
+    "ground truth not a string": (
+        {"ground_truth": 7}, "task d1: ground_truth must be a string, got 7"
+    ),
+    "repo not a string": ({"repo": ["r"]}, "task d1: repo must be a string, got ['r']"),
+    "cursor line not an integer": (
+        {"cursor_line": "3"}, "task d1: cursor_line must be an integer, got '3'"
+    ),
+    "not JSON": ("{oops", "Expecting property name"),
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "bench-timings"])
+@pytest.mark.parametrize("record,message", BAD_RECORDS.values(), ids=list(BAD_RECORDS))
+def test_bad_dataset_record_exits_2_naming_its_line(
+    indexed_mini, tmp_path, capsys, monkeypatch, command, record, message
+):
+    repo, idx = indexed_mini
+    dataset = write_dataset(tmp_path / "tasks.jsonl", repo, count=3)
+    lines = dataset.read_text().splitlines()
+    if isinstance(record, dict):
+        record = json.dumps({**json.loads(lines[1]), **record})
+    lines[1] = record
+    dataset.write_text("\n".join(lines) + "\n")
+    calls = []
+    monkeypatch.setattr("coderag.cli.complete", lambda *args: calls.append(args))
+    assert run_cli(command, "--dataset", str(dataset), "--kb-dir", str(idx)) == 2
+    err = capsys.readouterr().err
+    assert f"{dataset} line 2: " in err and message in err
+    assert calls == []
+
+
+def test_complete_task_file_that_is_not_an_object_exits_2(indexed_mini, tmp_path, capsys):
+    _, idx = indexed_mini
+    task_path = tmp_path / "task.json"
+    task_path.write_text("[1]\n")
+    assert run_cli("complete", "--task", str(task_path), "--kb-dir", str(idx)) == 2
+    assert "a task must be a JSON object, got list" in capsys.readouterr().err
+
+
 def test_help_shows_defaults(capsys):
     assert main(["complete", "--help"]) == 0
     out = capsys.readouterr().out

@@ -298,6 +298,20 @@ def test_match_and_except_star_blocks_are_walked(prefix):
     assert dependency_names(build_dataflow_graph(prefix)) == ["load_config"]
 
 
+@pytest.mark.parametrize("prefix_letters", ["f", "rb", "Rb", "u", "br"])
+def test_string_prefix_on_the_cursor_line_is_not_a_use(prefix_letters):
+    # The lexed cursor line skips a prefixed literal whole, as lexing does:
+    # its prefix is not a use of the bound name of the same spelling.
+    prefix = f'{prefix_letters} = make()\nx = {prefix_letters}"{{a}}" + g('
+    assert dependency_names(build_dataflow_graph(prefix)) == []
+
+
+def test_except_name_reaches_the_first_handler_statement():
+    graph = build_dataflow_graph("try:\n    pass\nexcept OSError as err:\n    h = err.args")
+    edges = [(s.name, s.line, d.name, d.line) for s, d in graph.edges]
+    assert edges == [("err", 3, "err", 4)]
+
+
 # --- bounded prefix parse -----------------------------------------------------
 
 

@@ -24,6 +24,7 @@ from coderag.evaluation import (
     load_tasks,
     normalize_completion,
     score_pair,
+    task_from_json,
     task_from_record,
 )
 from coderag.pipeline import CompletionTask
@@ -172,31 +173,49 @@ def _task(i: int, gt: str) -> CompletionTask:
 
 def test_evaluate_mean_arithmetic():
     tasks = [_task(0, "hit"), _task(1, "miss")]
-    outputs = {"t0": "hit", "t1": "zzzz"}
-    report = evaluate(tasks, lambda t: outputs[t.task_id])
+    report = evaluate(tasks, ["hit", "zzzz"])
     assert report.em == pytest.approx(0.5)
     assert report.es == pytest.approx((1.0 + 0.0) / 2)
 
 
 def test_evaluate_all_exact():
     tasks = [_task(i, f"line{i}") for i in range(4)]
-    report = evaluate(tasks, lambda t: t.ground_truth)
+    report = evaluate(tasks, [t.ground_truth for t in tasks])
     assert (report.em, report.es, report.id_em, report.id_f1) == (1.0, 1.0, 1.0, 1.0)
     assert "100.00" in format_report(report)
 
 
 def test_evaluate_failed_task_scores_zero():
     tasks = [_task(0, "ok"), _task(1, "ok")]
-
-    def run(task):
-        if task.task_id == "t1":
-            raise RuntimeError("boom")
-        return "ok"
-
-    report = evaluate(tasks, run)
+    report = evaluate(tasks, ["ok", RuntimeError("boom")])
     assert report.per_task[1].failed
     assert report.per_task[1].em == 0 and report.per_task[1].es == 0.0
     assert report.em == pytest.approx(0.5)
+
+
+def test_evaluate_needs_one_output_per_task():
+    with pytest.raises(ValueError):
+        evaluate([_task(0, "a"), _task(1, "b")], ["a"])
+
+
+def test_report_dict_pins_keys_and_failure_fields():
+    report = evaluate([_task(0, "ok"), _task(1, "ok")], ["ok", RuntimeError("boom")])
+    assert report.to_dict() == {
+        "em": 0.5,
+        "es": 0.5,
+        "id_em": 0.5,
+        "id_f1": 0.5,
+        "per_task": [
+            {"task_id": "t0", "em": 1, "es": 1.0, "id_em": 1, "id_f1": 1.0,
+             "failed": False, "error": ""},
+            {"task_id": "t1", "em": 0, "es": 0.0, "id_em": 0, "id_f1": 0.0,
+             "failed": True, "error": "boom"},
+        ],
+    }
+    assert list(report.to_dict()) == ["em", "es", "id_em", "id_f1", "per_task"]
+    assert list(report.to_dict()["per_task"][0]) == [
+        "task_id", "em", "es", "id_em", "id_f1", "failed", "error"
+    ]
 
 
 class ScratchScorer:
@@ -244,11 +263,8 @@ SCORER_FIXTURE = [
 
 
 def test_ten_task_fixture_matches_scratch_scorer():
-    tasks, outputs = [], {}
-    for i, (gen, gt) in enumerate(SCORER_FIXTURE):
-        tasks.append(_task(i, gt))
-        outputs[f"t{i}"] = gen
-    report = evaluate(tasks, lambda t: outputs[t.task_id])
+    tasks = [_task(i, gt) for i, (_, gt) in enumerate(SCORER_FIXTURE)]
+    report = evaluate(tasks, [gen for gen, _ in SCORER_FIXTURE])
     expected = [ScratchScorer.score(gen, gt) for gen, gt in SCORER_FIXTURE]
     n = len(expected)
     assert report.em == pytest.approx(sum(e[0] for e in expected) / n)
@@ -304,6 +320,11 @@ def test_cceval_adapter():
     assert task.repo_root == "repoA"
     assert task.prefix == "import os\nx = "
     assert task.ground_truth == "os.path"
+
+
+def test_cceval_metadata_must_be_an_object():
+    with pytest.raises(ValueError, match="metadata must be an object"):
+        task_from_json({"prompt": "x = ", "groundtruth": "1", "metadata": 5}, "cceval")
 
 
 def test_recceval_adapter():

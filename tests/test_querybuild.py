@@ -68,7 +68,8 @@ def test_crlf_normalized():
 # Fixture (f=2, 6 lines): identifiers per chunk are
 #   chunk0 {alpha, beta}, chunk1 {gamma, delta},
 #   target {main, print, alpha, beta}
-# so the overlap probe gives chunk0 -> -0.0 and chunk1 -> -2.0.
+# so the probe prompts (chunk + target) hold 4 and 6 distinct identifiers,
+# and the overlap probe gives chunk0 -> -4.0 and chunk1 -> -6.0.
 FIXTURE = (
     "alpha = 1\n"
     "beta = alpha + 2\n"
@@ -81,9 +82,8 @@ FIXTURE = (
 
 def test_stub_probe_scores_by_hand():
     *context, target = chunk_file(FIXTURE, f=2)
-    probe = StubProbe(target_text=target)
-    scores = score_chunks(context, target, probe, m=8)
-    assert scores == [ChunkScore(0, -0.0), ChunkScore(1, -2.0)]
+    scores = score_chunks(context, target, StubProbe(), m=8)
+    assert scores == [ChunkScore(0, -4.0), ChunkScore(1, -6.0)]
 
 
 def test_score_chunks_skips_target():
@@ -120,10 +120,9 @@ def test_single_chunk_query_is_target_only():
 
 def test_fixture_selects_overlapping_chunk():
     chunks = chunk_file(FIXTURE, f=2)
-    target = chunks[-1]
-    query = construct_query(FIXTURE, f=2, m=8, g=1, probe=StubProbe(target_text=target))
+    query = construct_query(FIXTURE, f=2, m=8, g=1, probe=StubProbe())
     assert query.selected_chunks == (chunks[0],)
-    assert query.combined_text == chunks[0] + "\n" + target
+    assert query.combined_text == chunks[0] + "\n" + chunks[-1]
 
 
 def test_g_larger_than_available_selects_all_in_order():

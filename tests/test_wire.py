@@ -247,7 +247,8 @@ def test_evaluate_matches_one_task_at_a_time_and_caps_requests_in_flight(tmp_pat
         tasks = load_tasks(dataset)
         index = RepoIndex.build(tasks[0].repo_root, clients.embedder)
         expected = tmp_path / "expected.json"
-        save_report(evaluate(tasks, lambda t: complete(t, index, clients, cfg).generated), expected)
+        outputs = [complete(t, index, clients, cfg).generated for t in tasks]
+        save_report(evaluate(tasks, outputs), expected)
     finally:
         srv.close()
     assert report.read_text() == expected.read_text()
