@@ -26,6 +26,7 @@ from .errors import CodeRagError, EmptyRepository, IndexFormatError, PickerUnava
 from .evaluation import (
     ADAPTERS,
     evaluate,
+    failed_tasks_line,
     format_report,
     load_tasks,
     require_ground_truth,
@@ -227,7 +228,7 @@ def cmd_bench_timings(args: argparse.Namespace) -> int:
         value = f"{total / completed:.6f}" if enabled else "skipped"
         print(f"  {stage:<20} {value}")
     if failed:
-        print(f"failed tasks: {failed}/{len(tasks)}")
+        print(failed_tasks_line(failed, len(tasks)))
     return EXIT_OK
 
 

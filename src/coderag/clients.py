@@ -1,9 +1,17 @@
-"""Deterministic in-process model clients.
+"""The model-client contract, the client bundle and the stub clients.
 
-These stubs satisfy the probe/embedder/picker/generator contracts without
-any model: scoring is identifier overlap, embeddings are seeded token-hash
-projections.  They make the whole pipeline runnable and reproducible at
-desk scale; remote clients live in :mod:`coderag.wire`.
+One protocol per model: the probe that scores chunks to build the query,
+the dense path's embedder, the rerank picker and the code generator;
+:class:`PipelineClients` holds one of each.  Every client is
+deterministic at temperature 0 and allows concurrent calls (``coderag
+evaluate`` runs 4 task threads).  A client whose calls block on I/O sets
+``waits_on_io``, and then its independent calls overlap on the fan-out
+pool (:mod:`coderag.fanout`); any other client is called from one thread
+at a time within a task.
+
+The stubs need no model: scoring is identifier overlap, embeddings are
+seeded token-hash projections.  They make the pipeline runnable and
+reproducible at desk scale; the HTTP clients live in :mod:`coderag.wire`.
 """
 
 from __future__ import annotations
@@ -12,15 +20,13 @@ import functools
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
+from .errors import InvalidPickReply
 from .lexing import identifier_set, subtokens
 
 if TYPE_CHECKING:
-    from .dense import EmbedderClient
-    from .pipeline import GeneratorClient
-    from .querybuild import ProbeClient
-    from .rerank import PickerClient
+    from .config import RunConfig
 
 _APPROX_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
@@ -33,6 +39,49 @@ _APPROX_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 # so 256 holds the texts of FANOUT_WIDTH concurrent tasks twice over.
 TOKEN_SLOT_CACHE_SIZE = 1 << 12  # (seed, dim, token) -> (bucket, sign)
 PICK_TOKENS_CACHE_SIZE = 256  # text -> subtoken set
+
+
+class ProbeClient(Protocol):
+    """Sum over m greedy steps of the maximum vocabulary log-probability.
+    An outage raises ``ProbeUnavailable``."""
+
+    def greedy_score(self, prompt: str, m: int) -> float: ...
+
+
+class EmbedderClient(Protocol):
+    """Text encoder; all vectors share one dimension.  An outage raises
+    ``EmbedderUnavailable``."""
+
+    def embed(self, text: str) -> list[float]: ...
+
+    def dimension(self) -> int: ...
+
+
+class PickerClient(Protocol):
+    """``pick`` returns the 0-based position of the most helpful snippet
+    in ``window``.  A bad reply (:func:`checked_pick`) is retried once by
+    the tournament, which then falls back to window position 0, and is no
+    vote in distillation.  An outage raises ``PickerUnavailable``."""
+
+    def pick(self, query_text: str, window: Sequence[str]) -> int: ...
+
+
+class GeneratorClient(Protocol):
+    """Completion model; ``config`` supplies ``max_new_tokens`` and
+    ``temperature``.  An optional ``count_tokens`` counts prompt tokens,
+    else prompt assembly uses an approximate count with a safety margin."""
+
+    def generate(self, prompt: str, config: RunConfig) -> str: ...
+
+
+def checked_pick(picker: PickerClient, query_text: str, window: Sequence[str]) -> int | None:
+    """The picker's reply if it is a position in ``window``, else ``None``
+    (for an :class:`InvalidPickReply` too); ``PickerUnavailable`` propagates."""
+    try:
+        reply = picker.pick(query_text, window)
+    except InvalidPickReply:
+        return None
+    return reply if isinstance(reply, int) and 0 <= reply < len(window) else None
 
 
 @dataclass

@@ -9,27 +9,14 @@ retrieved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
+from .clients import EmbedderClient
 from .errors import EmbedderUnavailable, EmbeddingDimensionMismatch
 from .fanout import call_each
 from .kb import CodeKnowledgeBase
 from .topj import top_j
-
-
-class EmbedderClient(Protocol):
-    """Deterministic text encoder; all vectors share one dimension.
-
-    Must allow concurrent calls: ``coderag evaluate`` runs tasks on
-    several threads.  A client that sets ``waits_on_io`` has the index
-    embeds overlapped on the fan-out pool (:mod:`coderag.fanout`).
-    """
-
-    def embed(self, text: str) -> list[float]: ...
-
-    def dimension(self) -> int: ...
 
 
 @dataclass

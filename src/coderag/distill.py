@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .clients import PickerClient, checked_pick
 from .errors import PickerUnavailable
-from .rerank import PickerClient, checked_pick
 
 DEFAULT_SAMPLE_SIZES = (2, 3, 4, 5, 6, 7)
 SUBSETS_PER_SIZE = 3
@@ -57,7 +57,7 @@ def vote_on_subset(
     """Five picks over one candidate window; a sample on >= 4/5 consensus.
 
     Every vote sees the same window order.  An invalid reply
-    (:func:`coderag.rerank.checked_pick`) is no vote, and a sample needs
+    (:func:`coderag.clients.checked_pick`) is no vote, and a sample needs
     five, so the subset then yields no sample and is not asked again.
     """
     window = [s.text for s in subset]
@@ -132,21 +132,39 @@ def save_samples(samples: Sequence[DistillationSample], out_path: str | Path) ->
             fh.write("\n")
 
 
-def load_query_lists(in_path: str | Path) -> list[tuple[str, list[Snippet]]]:
-    """Read line-delimited JSON {query, candidates: [{id, text}]} pairs.
+def query_list_from_json(rec: object) -> tuple[str, list[Snippet]]:
+    """One decoded {query, candidates: [{id, text}]} record.
 
     ``query`` may be the query text itself or an object with a
-    ``combined_text`` field (the pipeline's artifact dump shape).
+    ``combined_text`` field (the pipeline's artifact dump shape).  A
+    record of another shape raises ``ValueError``.
     """
+    if not isinstance(rec, dict):
+        raise ValueError(f"a record must be a JSON object, got {type(rec).__name__}")
+    query = rec.get("query")
+    if isinstance(query, dict):
+        query = query.get("combined_text")
+    if not isinstance(query, str):
+        raise ValueError("query must be a string or an object with a string combined_text")
+    candidates = rec.get("candidates")
+    if not isinstance(candidates, list):
+        raise ValueError(f"candidates must be a list, got {type(candidates).__name__}")
+    for k, c in enumerate(candidates):
+        if not isinstance(c, dict) or not all(isinstance(c.get(f), str) for f in ("id", "text")):
+            raise ValueError(f"candidate {k} must be an object with a string id and text")
+    return query, [Snippet(c["id"], c["text"]) for c in candidates]
+
+
+def load_query_lists(in_path: str | Path) -> list[tuple[str, list[Snippet]]]:
+    """Read line-delimited JSON records (:func:`query_list_from_json`); a
+    line that is not valid JSON or not a valid record raises
+    ``ValueError`` naming it."""
     out: list[tuple[str, list[Snippet]]] = []
     with open(in_path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            query = rec["query"]
-            if isinstance(query, dict):
-                query = query["combined_text"]
-            snippets = [Snippet(c["id"], c["text"]) for c in rec["candidates"]]
-            out.append((query, snippets))
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    out.append(query_list_from_json(json.loads(line)))
+                except ValueError as exc:  # json.JSONDecodeError included
+                    raise ValueError(f"{in_path} line {lineno}: {exc}") from exc
     return out

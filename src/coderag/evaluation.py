@@ -180,8 +180,13 @@ def format_report(report: MetricsReport) -> str:
     ]
     failed = sum(1 for t in report.per_task if t.failed)
     if failed:
-        lines.append(f"failed tasks: {failed}/{len(report.per_task)}")
+        lines.append(failed_tasks_line(failed, len(report.per_task)))
     return "\n".join(lines)
+
+
+def failed_tasks_line(failed: int, total: int) -> str:
+    """The last line of ``evaluate`` and ``bench-timings`` when tasks failed."""
+    return f"failed tasks: {failed}/{total}"
 
 
 def _task_from_fields(

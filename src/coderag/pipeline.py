@@ -13,13 +13,13 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 from . import store
-from .clients import PipelineClients, approx_token_count
+from .clients import EmbedderClient, GeneratorClient, PipelineClients, approx_token_count
 from .config import RunConfig
 from .dataflow import build_dataflow_graph, dataflow_retrieve
-from .dense import DenseIndex, EmbedderClient, build_dense_index, dense_retrieve
+from .dense import DenseIndex, build_dense_index, dense_retrieve
 from .errors import BudgetImpossible, GraphUnavailable, PipelineStageError
 from .kb import CodeKnowledgeBase, build_knowledge_base
 from .querybuild import RetrievalQuery, construct_query
@@ -48,16 +48,6 @@ class CompletionTask:
     def __post_init__(self) -> None:
         if not self.prefix:
             raise ValueError(f"task {self.task_id}: prefix must be non-empty")
-
-
-class GeneratorClient(Protocol):
-    """Completion model; deterministic at temperature 0.  ``count_tokens``
-    is optional — prompt assembly falls back to an approximate counter
-    with a safety margin when it is missing.  ``config`` supplies
-    ``max_new_tokens`` and ``temperature``.  Must allow concurrent calls:
-    ``coderag evaluate`` runs tasks on several threads."""
-
-    def generate(self, prompt: str, config: RunConfig) -> str: ...
 
 
 @dataclass

@@ -10,23 +10,11 @@ original file order) plus the target chunk form the query.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
+from .clients import ProbeClient
 from .errors import EmptyFile, ProbeUnavailable
 from .fanout import call_each
-
-
-class ProbeClient(Protocol):
-    """Greedy scorer: generates m tokens at temperature 0 and returns the
-    sum over steps of the maximum vocabulary log-probability.  Must be
-    deterministic per (prompt, m), and must allow concurrent calls:
-    ``coderag evaluate`` runs tasks on several threads.  A client that
-    sets ``waits_on_io`` has its calls for one query overlapped on the
-    fan-out pool (:mod:`coderag.fanout`); any other client is called from
-    one thread at a time within a task.
-    """
-
-    def greedy_score(self, prompt: str, m: int) -> float: ...
 
 
 @dataclass(frozen=True)

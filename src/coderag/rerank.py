@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
-from .errors import InvalidPickReply, PickerUnavailable
+from .clients import PickerClient, checked_pick
+from .errors import PickerUnavailable
 from .fanout import call_each
 from .kb import CodeKnowledgeBase
 from .retrieve import RetrievalList
@@ -26,36 +27,6 @@ SNIPPET_CHAR_BUDGET = 1200
 TRUNCATION_MARKER = "\n# ... truncated ..."
 
 T = TypeVar("T")
-
-
-class PickerClient(Protocol):
-    """Chooses the most helpful snippet in a window.
-
-    ``pick`` returns a 0-based index into ``window``.  An unparsable or
-    out-of-window reply may surface as :class:`InvalidPickReply` or as an
-    out-of-range integer (:func:`checked_pick`); either way the tournament
-    retries once and then falls back to window position 0, and
-    :mod:`coderag.distill` counts no vote.  Must allow concurrent calls:
-    ``coderag evaluate`` runs tasks on several threads.  A client that
-    sets ``waits_on_io`` has the groups of each internal tournament layer
-    picked at once on the fan-out pool (:mod:`coderag.fanout`); any other
-    client is called from one thread at a time within a task.
-    """
-
-    def pick(self, query_text: str, window: Sequence[str]) -> int: ...
-
-
-def checked_pick(picker: PickerClient, query_text: str, window: Sequence[str]) -> int | None:
-    """The picker's reply if it is a position in ``window``, else ``None``.
-
-    :class:`InvalidPickReply` is an invalid reply too;
-    :class:`PickerUnavailable` propagates.
-    """
-    try:
-        reply = picker.pick(query_text, window)
-    except InvalidPickReply:
-        return None
-    return reply if isinstance(reply, int) and 0 <= reply < len(window) else None
 
 
 # Slotted: about 50 per task, and a caller may keep every task's result.

@@ -23,7 +23,7 @@ import threading
 import urllib.error
 import urllib.request
 from importlib import resources
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import (
     CodeRagError,
@@ -103,34 +103,44 @@ def post_request(endpoint: str, payload: dict, timeout: float) -> dict:
 
 class _WireClient:
     waits_on_io = True  # each call blocks on the endpoint; independent ones overlap
+    unavailable: type[CodeRagError] = WireError  # the role's outage error
 
     def __init__(self, endpoint: str, timeout: float = DEFAULT_TIMEOUT_SECONDS):
         self.endpoint = endpoint
         self.timeout = timeout
 
-    def _call(self, request_type: str, **fields) -> dict:
+    def _call(self, request_type: str, field: str, read: Callable[[Any], Any], **fields):
+        """``read`` applied to the reply's ``field``.  A transport failure,
+        a reply without the field, or a field ``read`` rejects raises the
+        role's :attr:`unavailable` error."""
         payload = {"version": PROTOCOL_VERSION, "type": request_type, **fields}
-        with _IN_FLIGHT:
-            return post_request(self.endpoint, payload, self.timeout)
+        try:
+            with _IN_FLIGHT:
+                reply = post_request(self.endpoint, payload, self.timeout)
+            return read(reply[field])
+        except KeyError:
+            raise self.unavailable(f"{request_type} reply missing {field!r}") from None
+        except (WireError, TypeError, ValueError) as exc:
+            raise self.unavailable(str(exc)) from exc
 
 
 class WireProbeClient(_WireClient):
     """Summed per-step max log-probabilities via a ``score`` request."""
 
+    unavailable = ProbeUnavailable
+
     def greedy_score(self, prompt: str, m: int) -> float:
-        try:
-            reply = self._call(
-                "score", prompt=prompt, max_tokens=m, temperature=0.0, want_logprobs=True
-            )
-            logprobs = reply["token_logprobs"]
-            return float(sum(float(v) for v in logprobs))
-        except (WireError, KeyError, TypeError, ValueError) as exc:
-            raise ProbeUnavailable(str(exc)) from exc
+        return self._call(
+            "score", "token_logprobs", lambda logprobs: float(sum(float(v) for v in logprobs)),
+            prompt=prompt, max_tokens=m, temperature=0.0, want_logprobs=True,
+        )
 
 
 class WireEmbedderClient(_WireClient):
     """Embeddings via an ``embed`` request; the dimension is learned from
     the first reply and every later reply must match it."""
+
+    unavailable = EmbedderUnavailable
 
     def __init__(self, endpoint: str, timeout: float = DEFAULT_TIMEOUT_SECONDS):
         super().__init__(endpoint, timeout)
@@ -138,11 +148,7 @@ class WireEmbedderClient(_WireClient):
         self._dim_lock = threading.Lock()
 
     def embed(self, text: str) -> list[float]:
-        try:
-            reply = self._call("embed", text=text)
-            vector = [float(v) for v in reply["embedding"]]
-        except (WireError, KeyError, TypeError, ValueError) as exc:
-            raise EmbedderUnavailable(str(exc)) from exc
+        vector = self._call("embed", "embedding", lambda v: [float(x) for x in v], text=text)
         with self._dim_lock:
             if self._dim is None:
                 self._dim = len(vector)
@@ -162,6 +168,8 @@ class WireEmbedderClient(_WireClient):
 class WirePickerClient(_WireClient):
     """BestFit picker over a ``chat`` request using the prompt template."""
 
+    unavailable = PickerUnavailable
+
     def __init__(
         self,
         endpoint: str,
@@ -173,13 +181,9 @@ class WirePickerClient(_WireClient):
 
     def pick(self, query_text: str, window: Sequence[str]) -> int:
         prompt = render_rerank_prompt(self.template, query_text, window)
-        try:
-            reply = self._call(
-                "chat", prompt=prompt, max_tokens=PICK_MAX_TOKENS, temperature=0.0
-            )
-            text = str(reply["text"])
-        except (WireError, KeyError) as exc:
-            raise PickerUnavailable(str(exc)) from exc
+        text = self._call(
+            "chat", "text", str, prompt=prompt, max_tokens=PICK_MAX_TOKENS, temperature=0.0
+        )
         return parse_pick_reply(text, len(window))
 
 
@@ -188,13 +192,7 @@ class WireGeneratorClient(_WireClient):
     back to the approximate counter with its safety margin."""
 
     def generate(self, prompt: str, config) -> str:
-        reply = self._call(
-            "generate",
-            prompt=prompt,
-            max_tokens=config.max_new_tokens,
-            temperature=config.temperature,
+        return self._call(
+            "generate", "text", str,
+            prompt=prompt, max_tokens=config.max_new_tokens, temperature=config.temperature,
         )
-        try:
-            return str(reply["text"])
-        except KeyError as exc:
-            raise WireError("generate reply missing 'text'") from exc

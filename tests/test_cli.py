@@ -380,6 +380,41 @@ def test_distill_default_sizes_skip_capped(tmp_path):
     assert len(emitted) == 3 * 3  # sizes 5, 6, 7 skipped for a 4-item list
 
 
+BAD_QUERY_LISTS = {
+    "not an object": ("[1, 2]", "a record must be a JSON object, got list"),
+    "no query": (
+        {"query": None}, "query must be a string or an object with a string combined_text"
+    ),
+    "query text not a string": (
+        {"query": {"combined_text": 3}},
+        "query must be a string or an object with a string combined_text",
+    ),
+    "candidates not a list": ({"candidates": 5}, "candidates must be a list, got int"),
+    "candidate not an object": (
+        {"candidates": ["t0"]}, "candidate 0 must be an object with a string id and text"
+    ),
+    "candidate id not a string": (
+        {"candidates": [{"id": "c0", "text": "t0"}, {"id": 1, "text": "t1"}]},
+        "candidate 1 must be an object with a string id and text",
+    ),
+    "not JSON": ("{oops", "Expecting property name"),
+}
+
+
+@pytest.mark.parametrize("record,message", BAD_QUERY_LISTS.values(), ids=list(BAD_QUERY_LISTS))
+def test_bad_distill_record_exits_2_naming_its_line(tmp_path, capsys, record, message):
+    good = {"query": "q", "candidates": [{"id": f"c{i}", "text": f"t{i}"} for i in range(3)]}
+    if isinstance(record, dict):
+        record = json.dumps({**good, **record})
+    lists = tmp_path / "lists.jsonl"
+    lists.write_text(json.dumps(good) + "\n" + record + "\n")
+    out = tmp_path / "samples.jsonl"
+    assert run_cli("distill", "--in", str(lists), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"{lists} line 2: " in err and message in err
+    assert not out.exists()
+
+
 def test_bench_timings_table(indexed_mini, tmp_path, capsys):
     repo, idx = indexed_mini
     dataset = write_dataset(tmp_path / "tasks.jsonl", repo, count=2)

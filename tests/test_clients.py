@@ -1,9 +1,11 @@
 """Stub clients: pinned embeddings, the overlap picker against an
-uncached reference, and their memo tables under concurrent use."""
+uncached reference, and their memo tables under concurrent use.  Stub
+and wire clients against their role protocols."""
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import random
 import struct
 import sys
@@ -13,8 +15,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coderag.clients import OverlapPicker, StubEmbedder, _token_set, _token_slot
+from coderag.clients import (
+    EchoGenerator,
+    EmbedderClient,
+    GeneratorClient,
+    OverlapPicker,
+    PickerClient,
+    ProbeClient,
+    StubEmbedder,
+    StubProbe,
+    _token_set,
+    _token_slot,
+)
 from coderag.lexing import _split_word
+from coderag.wire import (
+    WireEmbedderClient,
+    WireGeneratorClient,
+    WirePickerClient,
+    WireProbeClient,
+)
 
 from .subtokens_oracle import oracle_subtokens
 
@@ -115,3 +134,34 @@ def test_concurrent_embed_and_pick_equal_serial():
 def test_memo_tables_are_bounded(memo):
     maxsize = memo.cache_info().maxsize
     assert maxsize is not None and 0 < maxsize <= 1 << 16
+
+
+ROLE_CLIENTS = {
+    ProbeClient: (StubProbe, WireProbeClient),
+    EmbedderClient: (StubEmbedder, WireEmbedderClient),
+    PickerClient: (OverlapPicker, WirePickerClient),
+    GeneratorClient: (EchoGenerator, WireGeneratorClient),
+}
+# Methods a protocol's docstring names as optional.
+OPTIONAL_METHODS = {GeneratorClient: {"count_tokens"}}
+
+
+def public_methods(cls) -> dict[str, list[str]]:
+    """Public method name -> its parameter names after ``self``."""
+    return {
+        name: list(inspect.signature(fn).parameters)[1:]
+        for name, fn in inspect.getmembers(cls, inspect.isfunction)
+        if not name.startswith("_")
+    }
+
+
+@pytest.mark.parametrize(
+    "protocol,client",
+    [(protocol, client) for protocol, clients in ROLE_CLIENTS.items() for client in clients],
+    ids=lambda cls: cls.__name__,
+)
+def test_client_matches_its_role_protocol(protocol, client):
+    methods = public_methods(client)
+    for name in OPTIONAL_METHODS.get(protocol, ()):
+        methods.pop(name, None)
+    assert methods == public_methods(protocol)

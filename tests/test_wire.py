@@ -24,9 +24,11 @@ from coderag.errors import (
 from coderag.evaluation import evaluate, load_tasks, save_report
 from coderag.fanout import FANOUT_WIDTH
 from coderag.pipeline import RepoIndex, complete
+from coderag.rerank import heap_rerank
 from coderag.wire import (
     PROTOCOL_VERSION,
     WireEmbedderClient,
+    WireError,
     WireGeneratorClient,
     WirePickerClient,
     WireProbeClient,
@@ -184,14 +186,101 @@ def test_generator_client(server):
     assert server.requests[-1]["type"] == "generate"
 
 
-def test_unreachable_endpoint_maps_to_unavailable_errors():
-    dead = "http://127.0.0.1:9/"  # discard port; nothing listens
-    with pytest.raises(ProbeUnavailable):
-        WireProbeClient(dead, timeout=0.2).greedy_score("x", 2)
-    with pytest.raises(EmbedderUnavailable):
-        WireEmbedderClient(dead, timeout=0.2).embed("x")
-    with pytest.raises(PickerUnavailable):
-        WirePickerClient(dead, timeout=0.2).pick("q", ["a", "b"])
+class FixedReplyServer(StubServer):
+    """Answers every request with ``reply`` (plus the protocol version)."""
+
+    def __init__(self, reply: dict):
+        self.reply = reply
+        super().__init__()
+
+    def respond(self, payload: dict) -> dict:
+        return {"version": PROTOCOL_VERSION, **self.reply}
+
+
+ROLE_CALLS = {
+    "probe": (WireProbeClient, lambda c: c.greedy_score("x", 2)),
+    "embedder": (WireEmbedderClient, lambda c: c.embed("x")),
+    "picker": (WirePickerClient, lambda c: c.pick("q", ["a", "b"])),
+    "generator": (WireGeneratorClient, lambda c: c.generate("p", RunConfig())),
+}
+
+DEAD = None  # nothing listens
+
+# role -> the error each failed call raises, by what the endpoint did
+FAILED_CALLS = {
+    "probe": [
+        ("dead endpoint", DEAD, ProbeUnavailable),
+        ("no field", {}, ProbeUnavailable),
+        ("wrong type", {"token_logprobs": 5}, ProbeUnavailable),
+        ("wrong item type", {"token_logprobs": ["lots"]}, ProbeUnavailable),
+    ],
+    "embedder": [
+        ("dead endpoint", DEAD, EmbedderUnavailable),
+        ("no field", {}, EmbedderUnavailable),
+        ("wrong type", {"embedding": 0.5}, EmbedderUnavailable),
+        ("wrong item type", {"embedding": ["x"]}, EmbedderUnavailable),
+    ],
+    "picker": [
+        ("dead endpoint", DEAD, PickerUnavailable),
+        ("no field", {}, PickerUnavailable),
+        # A text field is read with str(), so a reply of another type is
+        # text that names no snippet: an invalid pick, not an outage.
+        ("wrong type", {"text": None}, InvalidPickReply),
+    ],
+    "generator": [  # its text of another type is read too, with str(): below
+        ("dead endpoint", DEAD, WireError),
+        ("no field", {}, WireError),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "role,reply,error",
+    [
+        pytest.param(role, reply, error, id=f"{role}-{case}")
+        for role, cases in FAILED_CALLS.items()
+        for case, reply, error in cases
+    ],
+)
+def test_failed_call_raises_its_role_error(role, reply, error):
+    client_class, call = ROLE_CALLS[role]
+    if reply is DEAD:
+        with pytest.raises(error):
+            call(client_class("http://127.0.0.1:9/", timeout=0.2))  # discard port
+        return
+    srv = FixedReplyServer(reply)
+    try:
+        with pytest.raises(error):
+            call(client_class(srv.endpoint))
+    finally:
+        srv.close()
+
+
+@pytest.mark.parametrize("role", ROLE_CALLS)
+def test_malformed_endpoint_raises_the_role_error(role):
+    client_class, call = ROLE_CALLS[role]
+    _, _, dead_endpoint_error = FAILED_CALLS[role][0]
+    with pytest.raises(dead_endpoint_error):
+        call(client_class("not-a-url"))
+
+
+def test_generator_reads_a_text_of_another_type_with_str():
+    srv = FixedReplyServer({"text": None})
+    try:
+        assert WireGeneratorClient(srv.endpoint).generate("p", RunConfig()) == "None"
+    finally:
+        srv.close()
+
+
+def test_picker_reply_of_another_type_falls_back_in_the_tournament():
+    srv = FixedReplyServer({"text": None})
+    try:
+        outcome = heap_rerank(["a", "b"], ["x", "y"], "q", WirePickerClient(srv.endpoint), 1, 2)
+    finally:
+        srv.close()
+    assert not outcome.degraded
+    assert outcome.picker_calls == 2  # one retry, then window position 0
+    assert [(e.chosen_id, e.fallback) for e in outcome.trace] == [("a", True)]
 
 
 # --- template & reply parsing -------------------------------------------------
