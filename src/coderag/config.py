@@ -14,6 +14,7 @@ import json
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .clients import EchoGenerator, OverlapPicker, PipelineClients, StubEmbedder, StubProbe
 from .retrieve import ALL_PATHS
@@ -60,12 +61,32 @@ class RunConfig:
             raise ValueError("token limits must be positive")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
+        for name in ("probe_endpoint", "embed_endpoint", "pick_endpoint", "generate_endpoint"):
+            _check_endpoint(name, getattr(self, name))
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["paths"] = list(self.paths)
         out["version"] = CONFIG_VERSION
         return out
+
+
+def _check_endpoint(key: str, value: object) -> None:
+    """An endpoint is the stub, empty (the environment fallback) or an
+    ``http(s)://`` URL with a host; anything else raises ``ValueError``
+    naming ``key``, before any model call could fail on it."""
+    if value in ("", STUB_ENDPOINT):
+        return
+    try:
+        url = urlsplit(value) if isinstance(value, str) else None
+        ok = url is not None and url.scheme in ("http", "https") and bool(url.hostname)
+    except ValueError:  # e.g. an unclosed IPv6 bracket
+        ok = False
+    if not ok:
+        raise ValueError(
+            f"{key} must be {STUB_ENDPOINT!r}, empty or an http(s):// URL with a host, "
+            f"got {value!r}"
+        )
 
 
 def _check_value_type(name: str, value: object, default: object) -> None:
@@ -112,7 +133,9 @@ def _endpoint(configured: str) -> str:
     """Explicit endpoint, else the environment fallback, else the stub."""
     if configured and configured != STUB_ENDPOINT:
         return configured
-    return os.environ.get(ENDPOINT_ENV_VAR, "") or STUB_ENDPOINT
+    fallback = os.environ.get(ENDPOINT_ENV_VAR, "")
+    _check_endpoint(ENDPOINT_ENV_VAR, fallback)
+    return fallback or STUB_ENDPOINT
 
 
 def make_clients(config: RunConfig) -> PipelineClients:

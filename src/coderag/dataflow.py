@@ -23,7 +23,7 @@ from functools import cached_property
 
 from .errors import GraphUnavailable
 from .kb import CodeKnowledgeBase, name_match_key, target_names
-from .lexing import KEYWORDS, STRING_PREFIXES, skip_string
+from .lexing import KEYWORDS, strip_noncode
 
 WALK_DEPTH = 4
 DATAFLOW_SCORE = float("inf")  # provenance sentinel; reranking ignores path scores
@@ -33,10 +33,6 @@ MODULE_SCOPE = ""
 _CHAIN_RE = re.compile(r"[A-Za-z_]\w*(?:\s*\.\s*[A-Za-z_]\w*)*")
 _ASSIGN_SPLIT_RE = re.compile(r"(?<![=!<>])=(?!=)")
 _CALL_HEAD_RE = re.compile(r"^\s*[A-Za-z_]\w*(?:\s*\.\s*[A-Za-z_]\w*)*\s*\(")
-# A comment, or a quote with the whole name (a possible string prefix)
-# glued to it.  The look-behind starts a name only at its first character,
-# which also keeps a long name to one backtracking pass.
-_STRING_OR_COMMENT_RE = re.compile(r"#|(?:(?<![A-Za-z0-9_])([A-Za-z_][A-Za-z0-9_]*))?(['\"])")
 
 
 @dataclass(frozen=True)
@@ -290,24 +286,6 @@ def _longest_parsable(lines: list[str]) -> tuple[ast.Module, int]:
             k = min(k, exc.lineno) - 1 if still_open and exc.lineno else k - 1
 
 
-def _strip_noncode(line: str) -> str:
-    """Drop the comment and every string literal, each literal leaving one
-    space, so lexical scans see only code.  Strings are found by
-    :mod:`coderag.lexing`'s rule: a quote, or a string prefix (``f``,
-    ``rb``, ...) directly followed by one, starts a literal."""
-    out: list[str] = []
-    i = 0
-    while (m := _STRING_OR_COMMENT_RE.search(line, i)) is not None:
-        out.append(line[i : m.start()])
-        if m.group() == "#":
-            return "".join(out)
-        name = m.group(1) or ""
-        out.append(" " if name.lower() in STRING_PREFIXES else name + " ")
-        i = skip_string(line, m.start(2))
-    out.append(line[i:])
-    return "".join(out)
-
-
 def _lex_tail_line(
     line: str, lineno: int, stmt_idx: int, scope: str
 ) -> tuple[list[_Binding], list[_Use]]:
@@ -317,21 +295,17 @@ def _lex_tail_line(
     right (or the whole line) contributes uses, with attribute chains kept
     on their head name.
     """
-    code = _strip_noncode(line)
+    code = strip_noncode(line)
     parts = _ASSIGN_SPLIT_RE.split(code, maxsplit=1)
     target_part, value_part = (parts[0], parts[1]) if len(parts) == 2 else ("", parts[0])
 
-    bindings: list[_Binding] = []
     uses: list[_Use] = []
-    target_names = [
-        m.group(0).split(".")[0]
-        for m in _CHAIN_RE.finditer(target_part)
-        if m.group(0).split(".")[0] not in KEYWORDS
-    ]
+    chains = map(_chain_parts, _CHAIN_RE.finditer(target_part))
+    targets = [chain[0] for chain in chains if chain[0] not in KEYWORDS]
 
     called: list[str] = []
     for m in _CHAIN_RE.finditer(value_part):
-        chain = re.sub(r"\s+", "", m.group(0)).split(".")
+        chain = _chain_parts(m)
         if chain[0] in KEYWORDS:
             continue
         end = m.end()
@@ -340,15 +314,19 @@ def _lex_tail_line(
         uses.append(_Use(chain[0], lineno, stmt_idx, scope, tuple(chain[1:])))
 
     ctor = ""
-    if target_names and _CALL_HEAD_RE.match(value_part):
-        first = _CHAIN_RE.search(value_part)
-        if first:
-            ctor = re.sub(r"\s+", "", first.group(0))
-    for name in target_names:
-        bindings.append(
-            _Binding(name, lineno, stmt_idx, scope, ctor=ctor, called=tuple(called))
-        )
+    if targets and _CALL_HEAD_RE.match(value_part):
+        ctor = ".".join(_chain_parts(_CHAIN_RE.search(value_part)))
+    bindings = [
+        _Binding(name, lineno, stmt_idx, scope, ctor=ctor, called=tuple(called))
+        for name in targets
+    ]
     return bindings, uses
+
+
+def _chain_parts(match: re.Match[str]) -> list[str]:
+    """The names of a matched attribute chain, without the spaces around
+    its dots: ``x . y`` -> ``["x", "y"]``."""
+    return re.sub(r"\s+", "", match.group(0)).split(".")
 
 
 def build_dataflow_graph(file_text_up_to_cursor: str) -> DataflowGraph:

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 from .clients import PickerClient, checked_pick
 from .errors import PickerUnavailable
+from .evaluation import read_json_lines
 
 DEFAULT_SAMPLE_SIZES = (2, 3, 4, 5, 6, 7)
 SUBSETS_PER_SIZE = 3
@@ -156,15 +157,6 @@ def query_list_from_json(rec: object) -> tuple[str, list[Snippet]]:
 
 
 def load_query_lists(in_path: str | Path) -> list[tuple[str, list[Snippet]]]:
-    """Read line-delimited JSON records (:func:`query_list_from_json`); a
-    line that is not valid JSON or not a valid record raises
-    ``ValueError`` naming it."""
-    out: list[tuple[str, list[Snippet]]] = []
-    with open(in_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    out.append(query_list_from_json(json.loads(line)))
-                except ValueError as exc:  # json.JSONDecodeError included
-                    raise ValueError(f"{in_path} line {lineno}: {exc}") from exc
-    return out
+    """Read line-delimited JSON records (:func:`query_list_from_json`)
+    through :func:`coderag.evaluation.read_json_lines`."""
+    return read_json_lines(in_path, query_list_from_json)

@@ -15,10 +15,12 @@ import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .lexing import iter_identifiers
 from .pipeline import CompletionTask
+
+T = TypeVar("T")
 
 
 def levenshtein(x: str, y: str) -> int:
@@ -77,19 +79,14 @@ def exact_match(x: str, y: str) -> int:
     return int(normalize_completion(x) == normalize_completion(y))
 
 
-def extract_identifiers(code: str) -> list[str]:
-    """Identifier tokens in order; keywords, literals and comments excluded."""
-    return iter_identifiers(code)
-
-
 def identifier_scores(gen: str, gt: str) -> tuple[int, float]:
     """(identifier exact match, identifier F1).
 
     Exact match is order-sensitive sequence equality; F1 uses multiset
     intersection.  Two identifier-free strings match vacuously (1, 1.0).
     """
-    gen_ids = extract_identifiers(gen)
-    gt_ids = extract_identifiers(gt)
+    gen_ids = iter_identifiers(gen)
+    gt_ids = iter_identifiers(gt)
     id_em = int(gen_ids == gt_ids)
     if not gen_ids and not gt_ids:
         return id_em, 1.0
@@ -283,19 +280,25 @@ def task_from_json(record: object, adapter: str = "native") -> CompletionTask:
     return ADAPTERS[adapter](record)
 
 
-def load_tasks(path: str | Path, adapter: str = "native") -> list[CompletionTask]:
-    """Read line-delimited JSON tasks through the named adapter; a line
-    that is not valid JSON or not a valid task raises ``ValueError``
-    naming it."""
-    tasks: list[CompletionTask] = []
+def read_json_lines(path: str | Path, parse: Callable[[object], T]) -> list[T]:
+    """``parse`` of each non-blank line's JSON value, in file order; a line
+    that is not valid JSON or that ``parse`` rejects with ``ValueError``
+    raises ``ValueError`` naming the path and the line."""
+    out: list[T] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if line.strip():
                 try:
-                    tasks.append(task_from_json(json.loads(line), adapter))
+                    out.append(parse(json.loads(line)))
                 except ValueError as exc:  # json.JSONDecodeError included
                     raise ValueError(f"{path} line {lineno}: {exc}") from exc
-    return tasks
+    return out
+
+
+def load_tasks(path: str | Path, adapter: str = "native") -> list[CompletionTask]:
+    """Read line-delimited JSON tasks through the named adapter
+    (:func:`read_json_lines`)."""
+    return read_json_lines(path, lambda record: task_from_json(record, adapter))
 
 
 def save_report(report: MetricsReport, path: str | Path) -> None:

@@ -1,11 +1,17 @@
 """Best-effort lexing of (possibly incomplete) Python source.
 
-Two tokenizations live here because every other module needs one of them:
+This is the one module that decides what in a line is code and what is a
+comment or a literal.  Every other module reads code through one of its
+two tokenizations:
 
-* :func:`iter_identifiers` — name tokens in code order, with keywords,
-  string/number literals and comments removed.  Tolerates unterminated
-  strings and truncated statements, which is the normal state of a file
-  being typed.
+* :func:`scan` — comments, numbers, string literals (with an ``r``,
+  ``b``, ``u``, ``f``, ``rb``, ``br``, ``rf`` or ``fr`` prefix) and names,
+  in code order.  It tolerates unterminated strings and truncated
+  statements, which is the normal state of a file being typed.  Built on
+  it, :func:`iter_identifiers` gives the names that are not keywords (the
+  identifier metrics and the stub probe), and :func:`strip_noncode` the
+  code with its comments and literals blanked out (the dataflow path's
+  lexer for lines that do not parse).
 * :func:`subtokens` — the retrieval vocabulary: alphanumeric runs split
   further at snake_case and CamelCase boundaries, lowercased.
 """
@@ -20,16 +26,29 @@ from typing import Iterator
 
 KEYWORDS = frozenset(keyword.kwlist)
 
-# Prefix letters that may glue a string literal to a preceding "name".
-STRING_PREFIXES = frozenset(
-    {"r", "b", "u", "f", "rb", "br", "rf", "fr"}
+# One token: a comment, a number, a string literal with its prefix, or a
+# name; any other character lies between tokens.  A number takes the
+# letters, digits and dots glued to it ("1e5", "0x1f", "2j", "1_000").  An
+# unterminated string runs to the end of its line, or of the text for
+# triple quotes, so its content never reads as code.  The leading
+# look-ahead lets the engine jump to the next character that can start a
+# token (twice as fast on the standard library as trying each one).
+_TOKEN_RE = re.compile(
+    r"""
+    (?=[\#'"A-Za-z0-9_]) (?:
+      (?P<comment> \#[^\n]* )
+    | (?P<number> [0-9][A-Za-z0-9_.]* )
+    | (?P<string> (?i: rb|br|rf|fr|[rbuf] )?
+        (?: '{3}[\s\S]*?(?:'{3}|\Z) | "{3}[\s\S]*?(?:"{3}|\Z)
+        | '[^'\\\n]*(?:\\[\s\S]?[^'\\\n]*)*'?
+        | "[^"\\\n]*(?:\\[\s\S]?[^"\\\n]*)*"? ) )
+    | (?P<name> [A-Za-z_][A-Za-z0-9_]* ) )
+    """,
+    re.VERBOSE,
 )
 
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
 _CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]+(?![A-Za-z])|[A-Z][a-z0-9]*|[a-z0-9]+")
-_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CONT = _NAME_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
 
 # Distinct alphanumeric runs whose split is remembered.  Word frequencies
 # in code are heavy-tailed: indexing CPython 3.11's standard library
@@ -57,64 +76,28 @@ def subtokens(text: str) -> list[str]:
     return list(chain.from_iterable(map(_split_word, _WORD_RE.findall(text))))
 
 
-def skip_string(code: str, i: int) -> int:
-    """Return the index just past the string literal starting at ``i``.
-
-    ``code[i]`` must be a quote character.  Unterminated strings swallow
-    the rest of the input (the literal's content must never leak out as
-    identifiers).
-    """
-    quote = code[i]
-    n = len(code)
-    if code[i : i + 3] == quote * 3:
-        end = code.find(quote * 3, i + 3)
-        return n if end < 0 else end + 3
-    j = i + 1
-    while j < n:
-        ch = code[j]
-        if ch == "\\":
-            j += 2
-            continue
-        if ch == quote or ch == "\n":
-            return j + 1
-        j += 1
-    return n
-
-
-def _iter_name_tokens(code: str) -> Iterator[str]:
-    i = 0
-    n = len(code)
-    while i < n:
-        ch = code[i]
-        if ch == "#":
-            nl = code.find("\n", i)
-            i = n if nl < 0 else nl + 1
-        elif ch in ("'", '"'):
-            i = skip_string(code, i)
-        elif ch in _NAME_START:
-            j = i + 1
-            while j < n and code[j] in _NAME_CONT:
-                j += 1
-            name = code[i:j]
-            if j < n and code[j] in ("'", '"') and name.lower() in STRING_PREFIXES:
-                i = skip_string(code, j)
-                continue
-            yield name
-            i = j
-        elif ch in _DIGITS:
-            # Swallow the whole numeric literal so "1e5" or "0x1f" never
-            # contributes a phantom name.
-            j = i + 1
-            while j < n and (code[j] in _NAME_CONT or code[j] == "."):
-                j += 1
-            i = j
-        else:
-            i += 1
+def scan(code: str) -> Iterator[re.Match[str]]:
+    """The tokens of ``code`` in order; each match's ``lastgroup`` is its
+    kind: ``comment``, ``number``, ``string`` or ``name``."""
+    return _TOKEN_RE.finditer(code)
 
 
 def iter_identifiers(code: str) -> list[str]:
     """Identifier tokens in order of appearance, duplicates preserved."""
-    return [name for name in _iter_name_tokens(code) if name not in KEYWORDS]
+    names = (m.group() for m in scan(code) if m.lastgroup == "name")
+    return [name for name in names if name not in KEYWORDS]
+
+
+def strip_noncode(code: str) -> str:
+    """``code`` without its comments, each string or number literal left
+    as one space, so a lexical scan of it sees only names and operators."""
+    pieces: list[str] = []
+    i = 0
+    for m in scan(code):
+        if m.lastgroup != "name":
+            pieces += (code[i : m.start()], "" if m.lastgroup == "comment" else " ")
+            i = m.end()
+    return "".join(pieces) + code[i:]
 
 
 def identifier_set(code: str) -> frozenset[str]:

@@ -187,12 +187,19 @@ class WirePickerClient(_WireClient):
         return parse_pick_reply(text, len(window))
 
 
+def _completion_text(text: object) -> str:
+    if not isinstance(text, str):
+        raise TypeError(f"generate reply text is {type(text).__name__}, not a string")
+    return text
+
+
 class WireGeneratorClient(_WireClient):
     """Completion generator. Exposes no tokenizer; prompt assembly falls
-    back to the approximate counter with its safety margin."""
+    back to the approximate counter with its safety margin.  A reply whose
+    ``text`` is not a string raises :class:`WireError`."""
 
     def generate(self, prompt: str, config) -> str:
         return self._call(
-            "generate", "text", str,
+            "generate", "text", _completion_text,
             prompt=prompt, max_tokens=config.max_new_tokens, temperature=config.temperature,
         )

@@ -648,3 +648,35 @@ def test_explicit_stub_cannot_be_overridden_by_env(monkeypatch):
     cfg = RunConfig(probe_endpoint="http://other/")
     clients = make_clients(cfg)
     assert clients.probe.endpoint == "http://other/"
+
+
+@pytest.mark.parametrize(
+    "endpoint", ["localhost:8000", "http://", "ftp://lm.example/", "http://[::1", "lm.example"]
+)
+def test_config_rejects_an_endpoint_that_is_not_a_url(endpoint):
+    with pytest.raises(ValueError, match="pick_endpoint must be"):
+        RunConfig(pick_endpoint=endpoint)
+
+
+@pytest.mark.parametrize("endpoint", ["stub", "", "http://127.0.0.1:8000/", "https://lm.example"])
+def test_config_accepts_the_stub_the_fallback_and_urls(endpoint):
+    assert RunConfig(pick_endpoint=endpoint).pick_endpoint == endpoint
+
+
+def test_endpoint_env_fallback_must_be_a_url(monkeypatch):
+    monkeypatch.setenv("CODERAG_LM_ENDPOINT", "localhost:8000")
+    with pytest.raises(ValueError, match="CODERAG_LM_ENDPOINT must be"):
+        make_clients(RunConfig())
+
+
+def test_endpoint_without_a_scheme_is_a_usage_error(indexed_mini, tmp_path, capsys):
+    # Refused before any model call, not left to degrade every rerank.
+    repo, idx = indexed_mini
+    task = write_task(tmp_path / "task.json", repo)
+    code = run_cli(
+        "complete", "--task", str(task), "--kb-dir", str(idx),
+        "--pick-endpoint", "localhost:8000",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad input: ") and "pick_endpoint" in err

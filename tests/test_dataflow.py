@@ -17,12 +17,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coderag
 from coderag.dataflow import (
     DATAFLOW_SCORE,
+    _lex_tail_line,
     _longest_parsable,
     build_dataflow_graph,
     dataflow_retrieve,
@@ -31,6 +32,7 @@ from coderag.dataflow import (
 )
 from coderag.errors import GraphUnavailable
 from coderag.kb import CodeKnowledgeBase, CodeKnowledgeItem, ItemKind
+from coderag.lexing import KEYWORDS, iter_identifiers
 
 from .dataflow_oracle import linear_longest_parsable, scan_retrieve
 
@@ -304,6 +306,48 @@ def test_string_prefix_on_the_cursor_line_is_not_a_use(prefix_letters):
     # its prefix is not a use of the bound name of the same spelling.
     prefix = f'{prefix_letters} = make()\nx = {prefix_letters}"{{a}}" + g('
     assert dependency_names(build_dataflow_graph(prefix)) == []
+
+
+@pytest.mark.parametrize("number", ["1e-3", "2j", "0x1f", "1_000"])
+def test_number_on_the_cursor_line_is_not_a_use(number):
+    # `e`, `j`, `x1f` and `_000` are bound to `load`; a literal that spells
+    # one of them must not reach it, or the shorter name takes the slot.
+    prefix = "from util import load, rescale\ne = load()\nx1f = _000 = j = load()\n"
+    graph = build_dataflow_graph(f"{prefix}y = rescale({number}")
+    assert dependency_names(graph) == ["rescale"]
+    kb = make_kb([("Function", "load"), ("Function", "rescale")])
+    assert [kb.get(item_id).qualified_name for item_id, _ in dataflow_retrieve(graph, kb)] == [
+        "rescale"
+    ]
+
+
+def test_spaces_around_a_target_dot_bind_the_head_name():
+    spaced, plain = build_dataflow_graph("x .y = make("), build_dataflow_graph("x.y = make(")
+    assert [b.name for b in spaced.bindings] == ["x"]
+    assert to_dot(spaced) == to_dot(plain)
+
+
+# Printable ASCII, weighted towards what tail lexing reads: names, dots,
+# "=", brackets, quotes and their prefixes, comments, digits.  ASCII only:
+# lexing's names are ASCII, while a tail chain takes any word character.
+_TAIL_LINE = st.text(
+    st.one_of(
+        st.sampled_from(list("abejrfx_01 .=(),'\"#\\")),
+        st.characters(min_codepoint=32, max_codepoint=126),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TAIL_LINE)
+@example("y = rescale(1e-3")
+@example("x .y = f(")
+def test_tail_names_are_identifiers_of_the_line(line):
+    bindings, uses = _lex_tail_line(line, 1, 0, "")
+    names = [b.name for b in bindings] + [n for u in uses for n in (u.name, *u.chain)]
+    identifiers = set(iter_identifiers(line))
+    assert all(n in identifiers or n in KEYWORDS for n in names), names
 
 
 def test_except_name_reaches_the_first_handler_statement():

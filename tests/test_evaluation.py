@@ -17,7 +17,6 @@ from coderag.evaluation import (
     edit_similarity,
     evaluate,
     exact_match,
-    extract_identifiers,
     format_report,
     identifier_scores,
     levenshtein,
@@ -135,14 +134,6 @@ def test_exact_match_implies_perfect_scores(x, y):
 
 
 # --- identifiers ------------------------------------------------------------
-
-
-def test_extract_identifiers_examples():
-    assert extract_identifiers("cfg = parse_config(path)") == ["cfg", "parse_config", "path"]
-    assert extract_identifiers("x = 1 + 2") == ["x"]
-    assert extract_identifiers("# comment only") == []
-    assert extract_identifiers('name = "quoted words"') == ["name"]
-    assert extract_identifiers("for item in items:") == ["item", "items"]
 
 
 def test_identifier_scores_examples():

@@ -227,9 +227,12 @@ FAILED_CALLS = {
         # text that names no snippet: an invalid pick, not an outage.
         ("wrong type", {"text": None}, InvalidPickReply),
     ],
-    "generator": [  # its text of another type is read too, with str(): below
+    "generator": [
         ("dead endpoint", DEAD, WireError),
         ("no field", {}, WireError),
+        # A completion must be text: null is not the completion "None".
+        ("wrong type", {"text": None}, WireError),
+        ("wrong item type", {"text": ["x"]}, WireError),
     ],
 }
 
@@ -262,14 +265,6 @@ def test_malformed_endpoint_raises_the_role_error(role):
     _, _, dead_endpoint_error = FAILED_CALLS[role][0]
     with pytest.raises(dead_endpoint_error):
         call(client_class("not-a-url"))
-
-
-def test_generator_reads_a_text_of_another_type_with_str():
-    srv = FixedReplyServer({"text": None})
-    try:
-        assert WireGeneratorClient(srv.endpoint).generate("p", RunConfig()) == "None"
-    finally:
-        srv.close()
 
 
 def test_picker_reply_of_another_type_falls_back_in_the_tournament():
