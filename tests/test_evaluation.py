@@ -26,6 +26,7 @@ from coderag.evaluation import (
     task_from_json,
     task_from_record,
 )
+from coderag.lexing import iter_identifiers
 from coderag.pipeline import CompletionTask
 
 from .levenshtein_oracle import dp_levenshtein
@@ -134,6 +135,15 @@ def test_exact_match_implies_perfect_scores(x, y):
 
 
 # --- identifiers ------------------------------------------------------------
+
+
+def test_extract_identifiers_examples():
+    # The identifier metrics score the names that lexing.iter_identifiers finds.
+    assert iter_identifiers("cfg = parse_config(path)") == ["cfg", "parse_config", "path"]
+    assert iter_identifiers("x = 1 + 2") == ["x"]
+    assert iter_identifiers("# comment only") == []
+    assert iter_identifiers('name = "quoted words"') == ["name"]
+    assert iter_identifiers("for item in items:") == ["item", "items"]
 
 
 def test_identifier_scores_examples():
