@@ -11,6 +11,7 @@ after reranking, 48 generated tokens at temperature 0 within a
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -59,8 +60,8 @@ class RunConfig:
             raise ValueError(f"unknown retrieval paths: {sorted(unknown)}")
         if self.max_new_tokens < 1 or self.max_input_tokens < 1:
             raise ValueError("token limits must be positive")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not math.isfinite(self.temperature) or self.temperature < 0:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         for name in ("probe_endpoint", "embed_endpoint", "pick_endpoint", "generate_endpoint"):
             _check_endpoint(name, getattr(self, name))
 

@@ -23,16 +23,16 @@ from functools import cached_property
 
 from .errors import GraphUnavailable
 from .kb import CodeKnowledgeBase, name_match_key, target_names
-from .lexing import KEYWORDS, strip_noncode
+from .lexing import KEYWORDS, NAME, strip_noncode
 
 WALK_DEPTH = 4
 DATAFLOW_SCORE = float("inf")  # provenance sentinel; reranking ignores path scores
 
 MODULE_SCOPE = ""
 
-_CHAIN_RE = re.compile(r"[A-Za-z_]\w*(?:\s*\.\s*[A-Za-z_]\w*)*")
+_CHAIN_RE = re.compile(rf"{NAME}(?:\s*\.\s*{NAME})*")
 _ASSIGN_SPLIT_RE = re.compile(r"(?<![=!<>])=(?!=)")
-_CALL_HEAD_RE = re.compile(r"^\s*[A-Za-z_]\w*(?:\s*\.\s*[A-Za-z_]\w*)*\s*\(")
+_CALL_HEAD_RE = re.compile(rf"^\s*{_CHAIN_RE.pattern}\s*\(")
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,17 @@ class _Binding:
     @property
     def node(self) -> FlowNode:
         return FlowNode(self.name, self.line, "import-binding" if self.is_import else "definition")
+
+    @property
+    def symbol(self) -> str:
+        """What the binding stands for: an import's symbol, a def or
+        class's own name, or the class an assignment constructs ("" for
+        none of these)."""
+        if self.is_import:
+            return self.origin.split(".")[-1]
+        if self.is_def_stmt:
+            return self.name
+        return self.ctor.split(".")[-1]
 
 
 @dataclass(frozen=True)
@@ -114,10 +125,8 @@ class _PrefixVisitor:
         self.bindings: list[_Binding] = []
         self.uses: list[_Use] = []
         self.stmt_count = 0
-        self.top_level: list[ast.stmt] = []
 
     def visit_module(self, tree: ast.Module) -> None:
-        self.top_level = list(tree.body)
         for stmt in tree.body:
             self._visit_stmt(stmt, MODULE_SCOPE)
 
@@ -179,14 +188,12 @@ class _PrefixVisitor:
         return out
 
     def _bind_imports(self, stmt: ast.Import | ast.ImportFrom, idx: int, scope: str) -> None:
+        is_module = isinstance(stmt, ast.Import)
         for alias in stmt.names:
             if alias.name == "*":
                 continue
-            is_module = isinstance(stmt, ast.Import)
-            if is_module:
-                local = alias.asname or alias.name.split(".")[0]
-            else:
-                local = alias.asname or alias.name
+            # `import a.b` binds `a`; a from-import's name has no dot.
+            local = alias.asname or alias.name.split(".")[0]
             self.bindings.append(
                 _Binding(
                     local,
@@ -200,7 +207,7 @@ class _PrefixVisitor:
             )
 
     @staticmethod
-    def _dotted(expr: ast.expr) -> str | None:
+    def _dotted(expr: ast.expr) -> str:
         parts: list[str] = []
         node = expr
         while isinstance(node, ast.Attribute):
@@ -209,49 +216,34 @@ class _PrefixVisitor:
         if isinstance(node, ast.Name):
             parts.append(node.id)
             return ".".join(reversed(parts))
-        return None
+        return ""
 
     def _bind_assignment(
         self, stmt: ast.Assign | ast.AnnAssign | ast.AugAssign, idx: int, scope: str
     ) -> None:
         targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
         value = stmt.value
-        ctor = ""
-        called: list[str] = []
-        aliases: list[str] = []
-        if value is not None:
-            if isinstance(value, ast.Call):
-                dotted = self._dotted(value.func)
-                if dotted:
-                    ctor = dotted
-            for node in ast.walk(value):
-                if isinstance(node, ast.Call):
-                    dotted = self._dotted(node.func)
-                    if dotted:
-                        called.append(dotted)
-            if isinstance(value, ast.Name):
-                aliases.append(value.id)
-            self._collect_uses(value, idx, scope)
+        called = () if value is None else tuple(self._collect_uses(value, idx, scope))
+        ctor = self._dotted(value.func) if isinstance(value, ast.Call) else ""
+        aliases = (value.id,) if isinstance(value, ast.Name) else ()
         for name in [n for target in targets for n in target_names(target)]:
             self.bindings.append(
-                _Binding(
-                    name,
-                    stmt.lineno,
-                    idx,
-                    scope,
-                    ctor=ctor,
-                    called=tuple(called),
-                    aliases=tuple(aliases),
-                )
+                _Binding(name, stmt.lineno, idx, scope, ctor=ctor, called=called, aliases=aliases)
             )
 
-    def _collect_uses(self, expr: ast.expr, idx: int, scope: str) -> None:
-        """Record Name loads; attribute chains record the head with its chain."""
+    def _collect_uses(self, expr: ast.expr, idx: int, scope: str) -> list[str]:
+        """Record Name loads; attribute chains record the head with its
+        chain.  Returns the dotted callees met, in walk order."""
+        called: list[str] = []
         skip: set[int] = set()
         for node in ast.walk(expr):
             if id(node) in skip:
                 continue
-            if isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Call):
+                dotted = self._dotted(node.func)
+                if dotted:
+                    called.append(dotted)
+            elif isinstance(node, ast.Attribute):
                 chain: list[str] = []
                 base: ast.expr = node
                 while isinstance(base, ast.Attribute):
@@ -265,6 +257,7 @@ class _PrefixVisitor:
                     )
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 self.uses.append(_Use(node.id, node.lineno, idx, scope))
+        return called
 
 
 def _longest_parsable(lines: list[str]) -> tuple[ast.Module, int]:
@@ -353,12 +346,12 @@ def build_dataflow_graph(file_text_up_to_cursor: str) -> DataflowGraph:
 
     tail_lines = lines[parsed_count:]
     tail_scope = MODULE_SCOPE
-    if visitor.top_level and isinstance(
-        visitor.top_level[-1], (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    if tree.body and isinstance(
+        tree.body[-1], (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     ):
         first_code = next((ln for ln in tail_lines if ln.strip()), "")
         if first_code[:1] in (" ", "\t"):
-            tail_scope = visitor.top_level[-1].name
+            tail_scope = tree.body[-1].name
 
     tail_uses: list[_Use] = []
     next_idx = visitor.stmt_count
@@ -395,19 +388,13 @@ def _reaching(
     bindings: dict[str, list[_Binding]], name: str, stmt_idx: int, scope: str
 ) -> _Binding | None:
     """Nearest preceding binding of ``name`` in the same scope, falling back
-    to module scope."""
-    candidates = bindings.get(name, ())
-    best: _Binding | None = None
-    for b in candidates:
-        if b.stmt_idx >= stmt_idx:
-            continue
-        if b.scope != scope and b.scope != MODULE_SCOPE:
-            continue
-        if best is None or (b.scope == scope) > (best.scope == scope):
-            best = b
-        elif (b.scope == scope) == (best.scope == scope) and b.stmt_idx > best.stmt_idx:
-            best = b
-    return best
+    to module scope; of two bindings in one statement, the first."""
+    eligible = (
+        b
+        for b in bindings.get(name, ())
+        if b.stmt_idx < stmt_idx and b.scope in (scope, MODULE_SCOPE)
+    )
+    return max(eligible, key=lambda b: (b.scope == scope, b.stmt_idx), default=None)
 
 
 class _Collector:
@@ -429,14 +416,7 @@ class _Collector:
         b = _reaching(self.graph.by_name, name, stmt_idx, scope)
         if b is None:
             return
-        if b.is_import:
-            self.collect(b.origin.split(".")[-1])
-            return
-        if b.is_def_stmt:
-            self.collect(b.name)
-            return
-        if b.ctor:
-            self.collect(b.ctor.split(".")[-1])
+        self.collect(b.symbol)  # an import or def/class binding calls and aliases nothing
         for dotted in b.called:
             self.collect(dotted.split(".")[-1])
             self.walk(dotted.split(".")[0], b.stmt_idx, b.scope, depth - 1)
@@ -451,12 +431,8 @@ class _Collector:
         b = _reaching(self.graph.by_name, name, stmt_idx, scope)
         if b is None:
             return ""
-        if b.is_import:
-            return b.origin.split(".")[-1]
-        if b.is_def_stmt:
-            return b.name
-        if b.ctor:
-            return b.ctor.split(".")[-1]
+        if b.symbol:
+            return b.symbol
         for alias in b.aliases:
             resolved = self.instance_class(alias, b.stmt_idx, b.scope, depth - 1)
             if resolved:
@@ -471,10 +447,10 @@ def dependency_names(graph: DataflowGraph) -> list[str]:
     for use in graph.final_uses:
         if use.chain:
             head = _reaching(graph.by_name, use.name, use.stmt_idx, use.scope)
-            if head is not None and head.is_import and head.is_module:
+            if head is not None and head.is_module:
                 # A module attribute names a top-level symbol of that module.
                 collector.collect(use.chain[0])
-                collector.collect(f"{head.origin.split('.')[-1]}.{use.chain[0]}")
+                collector.collect(f"{head.symbol}.{use.chain[0]}")
             else:
                 cls = collector.instance_class(use.name, use.stmt_idx, use.scope, WALK_DEPTH)
                 if cls:

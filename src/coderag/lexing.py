@@ -1,8 +1,9 @@
 """Best-effort lexing of (possibly incomplete) Python source.
 
 This is the one module that decides what in a line is code and what is a
-comment or a literal.  Every other module reads code through one of its
-two tokenizations:
+comment or a literal, and what a name is (:data:`NAME`, Python's
+identifier shape, non-ASCII letters included).  Every other module reads
+code through one of its two tokenizations:
 
 * :func:`scan` — comments, numbers, string literals (with an ``r``,
   ``b``, ``u``, ``f``, ``rb``, ``br``, ``rf`` or ``fr`` prefix) and names,
@@ -12,8 +13,8 @@ two tokenizations:
   identifier metrics and the stub probe), and :func:`strip_noncode` the
   code with its comments and literals blanked out (the dataflow path's
   lexer for lines that do not parse).
-* :func:`subtokens` — the retrieval vocabulary: alphanumeric runs split
-  further at snake_case and CamelCase boundaries, lowercased.
+* :func:`subtokens` — the retrieval vocabulary: ASCII alphanumeric runs
+  split further at snake_case and CamelCase boundaries, lowercased.
 """
 
 from __future__ import annotations
@@ -26,23 +27,27 @@ from typing import Iterator
 
 KEYWORDS = frozenset(keyword.kwlist)
 
+# A name has Python's identifier shape: a letter or underscore, then word
+# characters, Unicode ones included ("été", "café").
+NAME = r"[^\W\d]\w*"
+
 # One token: a comment, a number, a string literal with its prefix, or a
-# name; any other character lies between tokens.  A number takes the
-# letters, digits and dots glued to it ("1e5", "0x1f", "2j", "1_000").  An
+# name; any other character lies between tokens.  A number takes the word
+# characters and dots glued to it ("1e5", "0x1f", "2j", "1_000").  An
 # unterminated string runs to the end of its line, or of the text for
 # triple quotes, so its content never reads as code.  The leading
 # look-ahead lets the engine jump to the next character that can start a
 # token (twice as fast on the standard library as trying each one).
 _TOKEN_RE = re.compile(
     r"""
-    (?=[\#'"A-Za-z0-9_]) (?:
+    (?=[\#'"\w]) (?:
       (?P<comment> \#[^\n]* )
-    | (?P<number> [0-9][A-Za-z0-9_.]* )
+    | (?P<number> [0-9][\w.]* )
     | (?P<string> (?i: rb|br|rf|fr|[rbuf] )?
         (?: '{3}[\s\S]*?(?:'{3}|\Z) | "{3}[\s\S]*?(?:"{3}|\Z)
         | '[^'\\\n]*(?:\\[\s\S]?[^'\\\n]*)*'?
         | "[^"\\\n]*(?:\\[\s\S]?[^"\\\n]*)*"? ) )
-    | (?P<name> [A-Za-z_][A-Za-z0-9_]* ) )
+    | (?P<name> """ + NAME + r""" ) )
     """,
     re.VERBOSE,
 )

@@ -107,57 +107,48 @@ class _Tournament:
             for pos in window:
                 self.home.setdefault(pos, []).append(leaf)
 
-        self.leaf_winner: list[int | None] = [None] * len(self.members)
-        self.layers: list[list[int | None]] = []
+        # levels[0] holds the leaf winners, levels[k] the winners of layer
+        # k's groups; the root is levels[-1][0].
+        self.levels: list[list[int | None]] = [[None] * len(self.members)]
 
     def build(self) -> None:
         """Pick every leaf, then every internal layer up to the root."""
-        for leaf in range(len(self.members)):
-            self.leaf_winner[leaf] = self._pick_leaf(leaf)
-        values: list[int | None] = self.leaf_winner
-        while len(values) > 1:
-            groups = [
-                [v for v in values[g : g + self.w] if v is not None]
-                for g in range(0, len(values), self.w)
-            ]
-            layer = self._pick_layer(groups)
-            self.layers.append(layer)
-            values = layer
+        leaves = self.levels[0]
+        for leaf in range(len(leaves)):
+            leaves[leaf] = self._pick_leaf(leaf)
+        while len(self.levels[-1]) > 1:
+            below = self.levels[-1]
+            parents = range(math.ceil(len(below) / self.w))
+            self.levels.append(self._pick_layer([self._group(below, p) for p in parents]))
 
     def root(self) -> int | None:
-        return self.layers[-1][0] if self.layers else self.leaf_winner[0]
+        return self.levels[-1][0]
 
     def remove(self, pos: int) -> None:
         """Remove an extracted item and replay its root-to-leaf path."""
+        leaves = self.levels[0]
         winner_leaf = None
         for leaf in self.home[pos]:
             self.members[leaf].remove(pos)
-            if self.leaf_winner[leaf] == pos:
+            if leaves[leaf] == pos:
                 winner_leaf = leaf
         assert winner_leaf is not None, "extracted item was not a leaf winner"
-        self.leaf_winner[winner_leaf] = self._pick_leaf(winner_leaf)
+        leaves[winner_leaf] = self._pick_leaf(winner_leaf)
+        child = winner_leaf
+        for below, level in zip(self.levels, self.levels[1:]):
+            parent = child // self.w
+            level[parent] = self._pick_group(self._group(below, parent))
+            child = parent
 
-        child_idx = winner_leaf
-        child_values: list[int | None] = self.leaf_winner
-        for layer in self.layers:
-            parent = child_idx // self.w
-            group = [
-                v
-                for v in child_values[parent * self.w : (parent + 1) * self.w]
-                if v is not None
-            ]
-            layer[parent] = self._pick_group(group)
-            child_idx = parent
-            child_values = layer
+    def _group(self, below: list[int | None], parent: int) -> list[int]:
+        """The live winners that advance from ``below`` into group ``parent``."""
+        return [v for v in below[parent * self.w : (parent + 1) * self.w] if v is not None]
 
     def _pick_leaf(self, leaf: int) -> int | None:
         """Pick within a leaf window, skipping members that are currently
         advancing from an adjacent window (keeps winners unique)."""
-        taken = {
-            self.leaf_winner[adj]
-            for adj in (leaf - 1, leaf + 1)
-            if 0 <= adj < len(self.members)
-        }
+        leaves = self.levels[0]
+        taken = {leaves[adj] for adj in (leaf - 1, leaf + 1) if 0 <= adj < len(leaves)}
         candidates = [p for p in self.members[leaf] if p not in taken]
         return self._pick_group(candidates)
 

@@ -7,9 +7,17 @@ import keyword
 
 _KEYWORDS = frozenset(keyword.kwlist)
 _STRING_PREFIXES = frozenset({"r", "b", "u", "f", "rb", "br", "rf", "fr"})
-_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CONT = _NAME_START | frozenset("0123456789")
 _DIGITS = frozenset("0123456789")
+
+
+def _name_cont(ch: str) -> bool:
+    """A word character: Unicode letters and digits, and the underscore."""
+    return ch.isalnum() or ch == "_"
+
+
+def _name_start(ch: str) -> bool:
+    """A word character that is not a decimal digit."""
+    return _name_cont(ch) and not ch.isdecimal()
 
 
 def _skip_string(code: str, i: int) -> int:
@@ -44,9 +52,9 @@ def oracle_identifiers(code: str) -> list[str]:
             i = n if nl < 0 else nl + 1
         elif ch in ("'", '"'):
             i = _skip_string(code, i)
-        elif ch in _NAME_START:
+        elif _name_start(ch):
             j = i + 1
-            while j < n and code[j] in _NAME_CONT:
+            while j < n and _name_cont(code[j]):
                 j += 1
             name = code[i:j]
             if j < n and code[j] in ("'", '"') and name.lower() in _STRING_PREFIXES:
@@ -58,7 +66,7 @@ def oracle_identifiers(code: str) -> list[str]:
         elif ch in _DIGITS:
             # The whole numeric literal, so "1e5" or "0x1f" yields no name.
             j = i + 1
-            while j < n and (code[j] in _NAME_CONT or code[j] == "."):
+            while j < n and (_name_cont(code[j]) or code[j] == "."):
                 j += 1
             i = j
         else:

@@ -626,6 +626,26 @@ def test_complete_wrong_shaped_config_is_bad_input(
     assert err.startswith("error: bad input: ") and named in err
 
 
+@pytest.mark.parametrize(
+    "flags,config",
+    [(["--temperature", "nan"], None), (["--temperature", "inf"], None), ([], "NaN")],
+    ids=["flag nan", "flag inf", "config NaN"],
+)
+def test_complete_non_finite_temperature_is_bad_input(
+    indexed_mini, tmp_path, capsys, flags, config
+):
+    # json.dumps would write a bare NaN or Infinity into the wire payload.
+    repo, idx = indexed_mini
+    if config is not None:
+        (tmp_path / "run.json").write_text(f'{{"version": 1, "temperature": {config}}}')
+        flags = ["--config", str(tmp_path / "run.json")]
+    task = write_task(tmp_path / "task.json", repo)
+    code = run_cli("complete", "--task", str(task), "--kb-dir", str(idx), *flags)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad input: ") and "temperature" in err
+
+
 def test_make_clients_stub_lineup():
     clients = make_clients(RunConfig())
     assert isinstance(clients.probe, StubProbe)

@@ -327,13 +327,14 @@ def test_spaces_around_a_target_dot_bind_the_head_name():
     assert to_dot(spaced) == to_dot(plain)
 
 
-# Printable ASCII, weighted towards what tail lexing reads: names, dots,
-# "=", brackets, quotes and their prefixes, comments, digits.  ASCII only:
-# lexing's names are ASCII, while a tail chain takes any word character.
+# Weighted towards what tail lexing reads: names, dots, "=", brackets,
+# quotes and their prefixes, comments, digits, and non-ASCII letters and
+# digits (a Unicode letter starts a name; "٣" and "²" only continue one);
+# any other character too.
 _TAIL_LINE = st.text(
     st.one_of(
-        st.sampled_from(list("abejrfx_01 .=(),'\"#\\")),
-        st.characters(min_codepoint=32, max_codepoint=126),
+        st.sampled_from(list("abejrfx_01 .=(),'\"#\\") + ["é", "Ü", "٣", "²"]),
+        st.characters(),
     ),
     max_size=40,
 )
@@ -343,11 +344,47 @@ _TAIL_LINE = st.text(
 @given(_TAIL_LINE)
 @example("y = rescale(1e-3")
 @example("x .y = f(")
+@example("x = été.run(café")
 def test_tail_names_are_identifiers_of_the_line(line):
     bindings, uses = _lex_tail_line(line, 1, 0, "")
     names = [b.name for b in bindings] + [n for u in uses for n in (u.name, *u.chain)]
     identifiers = set(iter_identifiers(line))
     assert all(n in identifiers or n in KEYWORDS for n in names), names
+
+
+@pytest.mark.parametrize("name", ["ete", "été"])
+def test_a_non_ascii_name_on_the_cursor_line_is_one_name(name):
+    prefix = f"from m import load\n{name} = load()\nx = {name}.run("
+    assert dependency_names(build_dataflow_graph(prefix)) == ["load", "load.run"]
+
+
+# --- the reaching rule --------------------------------------------------------
+
+REACHING = [
+    # a binding in the use's own scope beats an earlier module-scope one
+    ("from m import load as run\ndef f():\n    from n import save as run\n    x = run(", "save"),
+    # of two bindings in the use's scope, the later one
+    (
+        "from k import keep as run\ndef f():\n    from m import load as run\n"
+        "    from n import save as run\n    x = run(",
+        "save",
+    ),
+    # of two bindings of one name in one statement, the first
+    ("import a.b, a.c\nx = a.run(", "b"),
+]
+
+
+@pytest.mark.parametrize(
+    "prefix,symbol", REACHING, ids=["own scope first", "later in scope", "first in statement"]
+)
+def test_the_reaching_binding(prefix, symbol):
+    assert dependency_names(build_dataflow_graph(prefix))[-1] == symbol
+
+
+def test_callees_of_nested_calls_and_chains_are_collected_in_walk_order():
+    graph = build_dataflow_graph("x = a.b(c.d(e), f(g.h.i()))\ny = x")
+    assert [b.called for b in graph.by_name["x"]] == [("a.b", "c.d", "f", "g.h.i")]
+    assert dependency_names(graph) == ["b", "d", "f", "i"]
 
 
 def test_except_name_reaches_the_first_handler_statement():

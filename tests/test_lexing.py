@@ -53,6 +53,13 @@ def test_identifiers_handle_string_prefixes():
     assert iter_identifiers('s = f"{value}"') == ["s"]
 
 
+def test_identifiers_have_python_identifier_shape():
+    # A Unicode letter starts or continues a name; a non-ASCII digit only
+    # continues one.
+    assert iter_identifiers("été = load(café)") == ["été", "load", "café"]
+    assert iter_identifiers("x٣ = ٣ + _ü") == ["x٣", "_ü"]
+
+
 def test_identifiers_tolerate_unterminated_string():
     assert iter_identifiers('x = open("conf') == ["x", "open"]
     assert iter_identifiers("y = '''start\nstill inside") == ["y"]
@@ -79,7 +86,8 @@ def test_identifiers_equal_the_character_loop_on_every_src_file_and_line(path):
 
 
 # Quotes and their prefixes, escapes, comments, digits, exponent and
-# imaginary letters, and non-ASCII characters (which lie between tokens).
+# imaginary letters, and non-ASCII characters: a letter (which starts a
+# name) and a digit (which only continues one).
 _LEXER_CHARS = st.sampled_from(list("abrfuBRFUjxe_019 .()=+-#'\"\\\n\t") + ["é", "٣"])
 
 

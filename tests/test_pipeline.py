@@ -319,8 +319,9 @@ def test_dumped_paths_are_run_config_paths(mini_repo):
 def test_generation_config_validation():
     with pytest.raises(ValueError):
         RunConfig(max_new_tokens=0)
-    with pytest.raises(ValueError):
-        RunConfig(temperature=-1.0)
+    for temperature in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="temperature"):
+            RunConfig(temperature=temperature)
 
 
 def test_completion_task_requires_prefix():
