@@ -292,7 +292,11 @@ def main(argv: list[str] | None = None) -> int:
             print(exc.code, file=sys.stderr)
             return EXIT_USAGE
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except FileNotFoundError as exc:
+    # A path that is missing, of the wrong kind or not permitted is a usage
+    # error; other OSErrors are runtime failures.
+    except (
+        FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError, PermissionError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (json.JSONDecodeError, ValueError, KeyError) as exc:

@@ -37,10 +37,10 @@ class RunConfig:
     temperature: float = 0.0
     max_input_tokens: int = 2048
     paths: tuple[str, ...] = ALL_PATHS
-    probe_endpoint: str = STUB_ENDPOINT
-    embed_endpoint: str = STUB_ENDPOINT
-    pick_endpoint: str = STUB_ENDPOINT
-    generate_endpoint: str = STUB_ENDPOINT
+    probe_endpoint: str = ""  # empty: CODERAG_LM_ENDPOINT if set, else the stub
+    embed_endpoint: str = ""
+    pick_endpoint: str = ""
+    generate_endpoint: str = ""
     rerank_template_path: str = ""
     embed_dim: int = 64
     seed: int = 0
@@ -131,8 +131,9 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _endpoint(configured: str) -> str:
-    """Explicit endpoint, else the environment fallback, else the stub."""
-    if configured and configured != STUB_ENDPOINT:
+    """The configured endpoint (``stub`` is the stub); if empty, the
+    environment fallback, else the stub."""
+    if configured:
         return configured
     fallback = os.environ.get(ENDPOINT_ENV_VAR, "")
     _check_endpoint(ENDPOINT_ENV_VAR, fallback)

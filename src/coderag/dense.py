@@ -46,8 +46,8 @@ def build_dense_index(kb: CodeKnowledgeBase, embedder: EmbedderClient) -> DenseI
     """Embed every item's text (functions at function level, variables at
     their line level — both are exactly the item's text slice).
 
-    An embedder failure aborts the build; the raised error carries, in
-    ``items_embedded``, the position of the first item that failed.  The
+    An embedder failure aborts the build with an
+    :class:`EmbedderUnavailable` naming the first item that failed.  The
     embeds overlap when the embedder waits on I/O
     (:func:`coderag.fanout.call_each`); each writes only its own row.
     """
@@ -56,15 +56,17 @@ def build_dense_index(kb: CodeKnowledgeBase, embedder: EmbedderClient) -> DenseI
     rows = np.zeros((len(items), dim), dtype=np.float64)
 
     def embed_row(pos: int) -> None:
+        item = items[pos]
         try:
-            raw = np.asarray(embedder.embed(items[pos].text), dtype=np.float64)
+            raw = np.asarray(embedder.embed(item.text), dtype=np.float64)
         except EmbedderUnavailable as exc:
-            exc.items_embedded = pos  # type: ignore[attr-defined]
-            exc.total_items = len(items)  # type: ignore[attr-defined]
-            raise
+            raise EmbedderUnavailable(
+                f"embedding item {pos} of {len(items)} "
+                f"({item.file_path}:{item.line_span[0]}) failed: {exc}"
+            ) from exc
         if raw.shape != (dim,):
             raise ValueError(
-                f"embedder returned shape {raw.shape} for item {items[pos].id}, "
+                f"embedder returned shape {raw.shape} for item {item.id}, "
                 f"expected ({dim},)"
             )
         rows[pos] = _normalize(raw)

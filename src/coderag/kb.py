@@ -9,7 +9,6 @@ and are not indexed separately.
 from __future__ import annotations
 
 import ast
-import datetime as dt
 import hashlib
 import logging
 import os
@@ -76,7 +75,6 @@ class CodeKnowledgeBase:
     repo_root: str
     file_manifest: dict[str, str]
     parse_errors: list[ParseFailure] = field(default_factory=list)
-    build_timestamp: str = ""
 
     def __post_init__(self) -> None:
         self._by_id = {item.id: item for item in self.items}
@@ -241,16 +239,4 @@ def build_knowledge_base(
         repo_root=str(root),
         file_manifest=manifest,
         parse_errors=errors,
-        build_timestamp=_build_timestamp(files),
     )
-
-
-def _build_timestamp(files: list[Path]) -> str:
-    """Deterministic build stamp: newest mtime of ``files``, oversized ones included.
-
-    A wall-clock stamp would break the rebuild-identical contract for an
-    unchanged repository.
-    """
-    mtimes = [p.stat().st_mtime for p in files]
-    stamp = max(mtimes, default=0.0)
-    return dt.datetime.fromtimestamp(int(stamp), tz=dt.timezone.utc).isoformat()

@@ -3,9 +3,10 @@
 ``sparse.idx`` and ``dense.vec`` share one binary container (:func:`_write`).
 Their rows are positional over ``kb.jsonl`` (row i is item i), so item ids
 are stored once, and a :func:`fingerprint` ties them to the ``kb.jsonl`` and
-``manifest.json`` they were built with.  A file that is damaged, foreign, of
-another version or built with another ``kb.jsonl`` raises
-:class:`IndexFormatError` naming it.
+``manifest.json`` they were built with.  One :data:`FORMAT_VERSION`, held by
+``manifest.json`` (read first) and both headers, covers the directory.  A
+file that is damaged, foreign, of another version or built with another
+``kb.jsonl`` raises :class:`IndexFormatError` naming it.
 """
 
 from __future__ import annotations
@@ -27,27 +28,28 @@ from .sparse import SparseIndex, index_from_postings
 
 KB_FILE_NAME = "kb.jsonl"
 MANIFEST_FILE_NAME = "manifest.json"
-TOOL_VERSION = "coderag-kb/1"
+# Bump on any change to what the four files hold, layout or contents.
+FORMAT_VERSION = 4
+_VERSION_TAG = f"coderag-kb/{FORMAT_VERSION}"  # how manifest.json records it
 
 
 @dataclass(frozen=True)
 class _Container:
     name: str
     magic: bytes
-    version: int
-    header: struct.Struct  # magic, version, the counts (the item count first), fingerprint
+    header: struct.Struct  # magic, FORMAT_VERSION, the counts (the item count first), fingerprint
     arrays: Callable[[Sequence[int]], list[tuple[str, int]]]  # counts -> [(dtype, length)]
     tables: tuple[int, ...] = ()  # for each table, the count that is its length
 
 
 # Counts: items, terms, postings.  Arrays: the CSR postings.  Table: the terms by id.
 SPARSE = _Container(
-    "sparse.idx", b"CRSI", 3, struct.Struct("<4sI3I32s"),
+    "sparse.idx", b"CRSI", struct.Struct("<4sI3I32s"),
     lambda c: [("<i8", c[1] + 1), ("<i4", c[2]), ("<i4", c[2])], (1,),
 )
 # Counts: items, dim.  Array: the row-major float32 matrix.
 DENSE = _Container(
-    "dense.vec", b"CRDV", 2, struct.Struct("<4sI2I32s"), lambda c: [("<f4", c[0] * c[1])]
+    "dense.vec", b"CRDV", struct.Struct("<4sI2I32s"), lambda c: [("<f4", c[0] * c[1])]
 )
 
 
@@ -81,8 +83,7 @@ def save_knowledge_base(kb: CodeKnowledgeBase, out_dir: str | Path) -> None:
     manifest = {
         "repo_root": kb.repo_root,
         "files": dict(sorted(kb.file_manifest.items())),
-        "build_timestamp": kb.build_timestamp,
-        "tool_version": TOOL_VERSION,
+        "tool_version": _VERSION_TAG,
         "parse_errors": [
             {"file_path": e.file_path, "diagnostic": e.diagnostic} for e in kb.parse_errors
         ],
@@ -94,13 +95,29 @@ def save_knowledge_base(kb: CodeKnowledgeBase, out_dir: str | Path) -> None:
 
 def load_knowledge_base(kb_dir: str | Path) -> CodeKnowledgeBase:
     kb_dir = Path(kb_dir)
+    path = kb_dir / MANIFEST_FILE_NAME
+    with _reading(path), open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+        version = manifest.get("tool_version")
+        if version != _VERSION_TAG:
+            raise IndexFormatError(
+                path, f"is not format version {FORMAT_VERSION} (it records {version!r})"
+            )
+        recorded = dict(
+            repo_root=manifest["repo_root"],
+            file_manifest=dict(manifest["files"]),
+            parse_errors=[
+                ParseFailure(e["file_path"], e["diagnostic"])
+                for e in manifest.get("parse_errors", [])
+            ],
+        )
     items: list[CodeKnowledgeItem] = []
     path = kb_dir / KB_FILE_NAME
     # JSON errors give positions within a line, so name the line.
     with _reading(path, lambda: f" while reading line {len(items) + 1}"):
         with open(path, encoding="utf-8") as fh:
             for line in fh:
-                rec = json.loads(line)  # other keys, e.g. an old `identifiers`, are ignored
+                rec = json.loads(line)
                 items.append(
                     CodeKnowledgeItem(
                         id=rec["id"],
@@ -111,18 +128,6 @@ def load_knowledge_base(kb_dir: str | Path) -> CodeKnowledgeBase:
                         text=rec["text"],
                     )
                 )
-    path = kb_dir / MANIFEST_FILE_NAME
-    with _reading(path), open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-        recorded = dict(
-            repo_root=manifest["repo_root"],
-            file_manifest=dict(manifest["files"]),
-            parse_errors=[
-                ParseFailure(e["file_path"], e["diagnostic"])
-                for e in manifest.get("parse_errors", [])
-            ],
-            build_timestamp=manifest.get("build_timestamp", ""),
-        )
     try:
         return CodeKnowledgeBase(items=items, **recorded)
     except ValueError as exc:  # duplicate ids, or an item's file not in the manifest
@@ -130,17 +135,20 @@ def load_knowledge_base(kb_dir: str | Path) -> CodeKnowledgeBase:
 
 
 def fingerprint(kb: CodeKnowledgeBase) -> bytes:
-    """sha256 of the tool version, the manifest's file hashes and the item
-    ids in position order: what a container's rows were built from."""
-    key = [TOOL_VERSION, sorted(kb.file_manifest.items()), [item.id for item in kb.items]]
-    return hashlib.sha256(json.dumps(key).encode("utf-8")).digest()
+    """sha256 of the format version, the manifest's files with their hashes
+    and the item ids in position order: what a container's rows were built
+    from.  The fields are joined by NUL, the file count first."""
+    files = [field for pair in sorted(kb.file_manifest.items()) for field in pair]
+    ids = [item.id for item in kb.items]
+    key = [str(FORMAT_VERSION), str(len(kb.file_manifest)), *files, *ids]
+    return hashlib.sha256("\0".join(key).encode("utf-8")).digest()
 
 
 def _write(spec: _Container, out_dir, counts, stamp: bytes, arrays, tables=()) -> None:
-    """Little-endian: the magic, the u32 version, the u32 counts, the 32-byte
+    """Little-endian: the magic, the u32 format version, the u32 counts, the 32-byte
     fingerprint, the arrays, then each table as a u32 byte length and UTF-8 JSON."""
     with open(Path(out_dir) / spec.name, "wb") as fh:
-        fh.write(spec.header.pack(spec.magic, spec.version, *counts, stamp))
+        fh.write(spec.header.pack(spec.magic, FORMAT_VERSION, *counts, stamp))
         for (dtype, _), array in zip(spec.arrays(counts), arrays):
             fh.write(np.ascontiguousarray(array, dtype=dtype).tobytes())
         for table in tables:
@@ -154,17 +162,13 @@ def _read(spec: _Container, kb_dir, n_items: int, stamp: bytes):
     the ``n_items`` items fingerprinted ``stamp``."""
     path = Path(kb_dir) / spec.name
     blob = path.read_bytes()
-    if spec is SPARSE and blob[:1] == b"{":
-        raise IndexFormatError(
-            path, "is a version-1 (JSON) sparse index, which this version no longer reads"
-        )
     if blob[:4] != spec.magic:
         raise IndexFormatError(path, f"is not a {spec.name} file")
     with _reading(path):
         (version,) = struct.unpack_from("<I", blob, 4)
-        if version != spec.version:
+        if version != FORMAT_VERSION:
             raise IndexFormatError(
-                path, f"is not format version {spec.version} (its version field holds {version})"
+                path, f"is not format version {FORMAT_VERSION} (its version field holds {version})"
             )
         _, _, *counts, stored = spec.header.unpack_from(blob)
         if counts[0] != n_items or stored != stamp:

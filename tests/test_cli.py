@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,15 @@ def test_index_rerun_is_byte_identical(tmp_path):
     repo = write_repo(tmp_path / "mini", MINI_REPO_FILES)
     out1, out2 = tmp_path / "i1", tmp_path / "i2"
     assert run_cli("index", str(repo), "--out", str(out1)) == 0
+    assert run_cli("index", str(repo), "--out", str(out2)) == 0
+    assert file_hashes(out1) == file_hashes(out2)
+
+
+def test_index_after_an_mtime_change_is_byte_identical(tmp_path):
+    repo = write_repo(tmp_path / "mini", MINI_REPO_FILES)
+    out1, out2 = tmp_path / "i1", tmp_path / "i2"
+    assert run_cli("index", str(repo), "--out", str(out1)) == 0
+    os.utime(repo / "util.py", (0, 2_000_000_000))  # a later mtime, the same bytes
     assert run_cli("index", str(repo), "--out", str(out2)) == 0
     assert file_hashes(out1) == file_hashes(out2)
 
@@ -171,13 +181,33 @@ def test_complete_missing_index_exits_2(indexed_mini, tmp_path, capsys):
     assert "coderag index" in capsys.readouterr().err
 
 
+# Each is a path of the wrong kind: a directory for a file, a file for a directory.
+WRONG_KIND_PATHS = {
+    "complete --task <dir>": lambda repo, idx, tmp: [
+        "complete", "--task", str(tmp), "--kb-dir", str(idx)],
+    "index --out <file>": lambda repo, idx, tmp: [
+        "index", str(repo), "--out", str(repo / "main.py")],
+    "evaluate --report <dir>": lambda repo, idx, tmp: [
+        "evaluate", "--dataset", str(write_dataset(tmp / "tasks.jsonl", repo)),
+        "--kb-dir", str(idx), "--report", str(tmp)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_KIND_PATHS))
+def test_path_of_the_wrong_kind_exits_2(indexed_mini, tmp_path, capsys, case):
+    repo, idx = indexed_mini
+    assert run_cli(*WRONG_KIND_PATHS[case](repo, idx, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
 def test_complete_version_1_sparse_index_asks_for_reindex(indexed_mini, tmp_path, capsys):
     repo, idx = indexed_mini
     (idx / "sparse.idx").write_text('{"version": 1, "item_ids": [], "terms": []}\n')
     task = write_task(tmp_path / "task.json", repo)
     assert run_cli("complete", "--task", str(task), "--kb-dir", str(idx)) == 2
     err = capsys.readouterr().err
-    assert "version-1" in err and "coderag index" in err
+    assert "is not a sparse.idx file" in err and "re-run `coderag index`" in err
 
 
 @pytest.mark.parametrize(("name", "source"), [
@@ -662,12 +692,14 @@ def test_endpoint_env_fallback(monkeypatch):
 
 
 def test_explicit_stub_cannot_be_overridden_by_env(monkeypatch):
-    # "stub" is the default, so the env var wins only over defaults; an
-    # explicit URL always wins over the env var.
+    # The env var stands in only for empty endpoints, the defaults; an
+    # explicit URL or `stub` always wins over it.
     monkeypatch.setenv("CODERAG_LM_ENDPOINT", "http://lm.example/")
-    cfg = RunConfig(probe_endpoint="http://other/")
+    cfg = RunConfig(probe_endpoint="http://other/", pick_endpoint="stub")
     clients = make_clients(cfg)
     assert clients.probe.endpoint == "http://other/"
+    assert isinstance(clients.picker, OverlapPicker)
+    assert clients.generator.endpoint == "http://lm.example/"
 
 
 @pytest.mark.parametrize(

@@ -234,10 +234,8 @@ def test_probe_failure_names_the_lowest_failing_chunk():
 def test_embedder_failure_reports_the_lowest_failing_position():
     texts = [f"item {k}" for k in range(100)]
     embedder = SlowEmbedder(fail={"item 37": 0.05, "item 40": 0.0, "item 90": 0.0})
-    with pytest.raises(EmbedderUnavailable) as exc_info:
+    with pytest.raises(EmbedderUnavailable, match=r"^embedding item 37 of 100 \(corpus.py:38\)"):
         build_dense_index(kb_from_texts(texts), embedder)
-    assert exc_info.value.items_embedded == 37
-    assert exc_info.value.total_items == 100
     assert embedder.active == 0
 
 

@@ -165,7 +165,7 @@ def _edit_records(path, edit):
 
 
 def test_kb_jsonl_with_identifiers_key_still_loads(repo10, tmp_path):
-    # Indexes written before `identifiers` was dropped carry the key.
+    # Record keys the loader does not know are ignored.
     kb = build_knowledge_base(repo10)
     save_knowledge_base(kb, tmp_path)
     path = tmp_path / KB_FILE_NAME

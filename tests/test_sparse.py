@@ -234,7 +234,8 @@ def test_binary_layout_header(tmp_path):
     blob = (tmp_path / "sparse.idx").read_bytes()
     assert blob[:4] == b"CRSI"
     # version, items, terms, postings
-    assert [int.from_bytes(blob[i : i + 4], "little") for i in range(4, 20, 4)] == [3, 3, 3, 4]
+    header = [int.from_bytes(blob[i : i + 4], "little") for i in range(4, 20, 4)]
+    assert header == [store.FORMAT_VERSION, 3, 3, 4]
     assert blob[20:52] == store.fingerprint(kb)
 
 
@@ -244,10 +245,10 @@ def test_version_1_json_index_asks_for_reindex(tmp_path):
     payload = {"version": 1, "item_ids": ["item000"], "terms": ["a"], "df": [1],
                "postings": [[[0, 1]]]}
     (tmp_path / "sparse.idx").write_text(json.dumps(payload) + "\n", encoding="utf-8")
-    with pytest.raises(IndexFormatError, match="coderag index") as exc_info:
+    with pytest.raises(IndexFormatError, match="is not a sparse.idx file") as exc_info:
         store.load(tmp_path)
     assert isinstance(exc_info.value, CodeRagError)
-    assert "version-1" in str(exc_info.value)
+    assert "re-run `coderag index`" in str(exc_info.value)
 
 
 @pytest.mark.parametrize("damage", SPARSE_DAMAGES)

@@ -14,7 +14,7 @@ import pytest
 from coderag.clients import StubEmbedder
 from coderag.errors import IndexFormatError
 from coderag.pipeline import RepoIndex
-from coderag.store import fingerprint
+from coderag.store import FORMAT_VERSION, fingerprint
 
 from .conftest import MINI_REPO_FILES, write_repo
 
@@ -126,6 +126,36 @@ def test_previous_version_is_refused(mini_repo, tmp_path, name):
     assert exc_info.value.path == tmp_path / name
     assert "re-run `coderag index`" in str(exc_info.value)
 
+
+def test_every_file_holds_the_format_version(mini_repo, tmp_path):
+    RepoIndex.build(mini_repo, StubEmbedder()).save(tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["tool_version"] == f"coderag-kb/{FORMAT_VERSION}"
+    for name in ("sparse.idx", "dense.vec"):
+        assert struct.unpack_from("<I", (tmp_path / name).read_bytes(), 4) == (FORMAT_VERSION,)
+
+
+# manifest.json as the layout before FORMAT_VERSION wrote it, and with no version.
+OLD_MANIFESTS = {
+    "coderag-kb/1": {"tool_version": "coderag-kb/1", "build_timestamp": "2026-01-01T00:00:00"},
+    "no version": {"tool_version": None},
+}
+
+
+@pytest.mark.parametrize("old", sorted(OLD_MANIFESTS))
+def test_another_format_is_refused_at_the_manifest_before_kb_jsonl(mini_repo, tmp_path, old):
+    RepoIndex.build(mini_repo, StubEmbedder()).save(tmp_path)
+    path = tmp_path / "manifest.json"
+    manifest = {**json.loads(path.read_text()), **OLD_MANIFESTS[old]}
+    path.write_text(json.dumps({k: v for k, v in manifest.items() if v is not None}))
+    for name, version in (("sparse.idx", 3), ("dense.vec", 2)):  # the older headers
+        blob = (tmp_path / name).read_bytes()
+        (tmp_path / name).write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+    (tmp_path / "kb.jsonl").write_bytes(b"\xff not JSON\n")
+    with pytest.raises(IndexFormatError, match=f"is not format version {FORMAT_VERSION}") as exc:
+        RepoIndex.load(tmp_path)
+    assert exc.value.path == path
+    assert "re-run `coderag index`" in str(exc.value)
 
 
 # Single integers of sparse.idx's postings arrays, patched: (array, index,
