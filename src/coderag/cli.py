@@ -81,7 +81,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 def _load_index(kb_dir: str) -> RepoIndex:
     try:
         return RepoIndex.load(kb_dir)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, NotADirectoryError) as exc:
         raise SystemExit(
             f"error: no index at {kb_dir} ({exc}); run `coderag index <repo> --out {kb_dir}` first"
         ) from exc
@@ -92,10 +92,12 @@ def _load_index(kb_dir: str) -> RepoIndex:
 def cmd_index(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     clients = make_clients(cfg)
+    # An --out that cannot be a directory fails here, before the build.
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     try:
         index = RepoIndex.build(args.repo, clients.embedder)
     except EmptyRepository as exc:
-        print(f"error: no source files: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     index.save(args.out)
     counts = index.kb.counts_by_kind()
@@ -164,6 +166,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     tasks = _load_dataset(args)
     require_ground_truth(tasks)  # before any model call
+    if args.report:  # a path that cannot be written fails here, before scoring
+        open(args.report, "a", encoding="utf-8").close()
     run = _task_runner(tasks, args.kb_dir, cfg)
     # Tasks overlap at the fan-out width.  Every client make_clients builds
     # allows concurrent calls; wire requests are capped at this width, so
@@ -299,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (json.JSONDecodeError, ValueError, KeyError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError included
         print(f"error: bad input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CodeRagError as exc:

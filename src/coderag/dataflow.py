@@ -26,7 +26,7 @@ from .kb import CodeKnowledgeBase, name_match_key, target_names
 from .lexing import KEYWORDS, NAME, strip_noncode
 
 WALK_DEPTH = 4
-DATAFLOW_SCORE = float("inf")  # provenance sentinel; reranking ignores path scores
+DATAFLOW_SCORE = 1.0  # path-local, like every path score; merge and rerank ignore it
 
 MODULE_SCOPE = ""
 

@@ -117,9 +117,6 @@ class MetricsReport:
     id_f1: float
     per_task: list[TaskScore] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def score_pair(task_id: str, generated: str, ground_truth: str) -> TaskScore:
     gen = normalize_completion(generated)
@@ -187,9 +184,12 @@ def failed_tasks_line(failed: int, total: int) -> str:
 
 
 def _task_from_fields(
-    task_id: str, repo: str, file_path: str, prefix: str, ground_truth: str | None,
+    task_id: object, repo: str, file_path: str, prefix: str, ground_truth: str | None,
     cursor_line: int | None,
 ) -> CompletionTask:
+    if task_id is None:
+        raise ValueError("task_id is missing")
+    task_id = str(task_id)
     if not isinstance(prefix, str) or not prefix:
         raise ValueError(f"task {task_id}: prefix must be a non-empty string, got {prefix!r}")
     if not isinstance(repo, str):
@@ -211,12 +211,13 @@ def _task_from_fields(
 
 
 def task_from_record(record: dict) -> CompletionTask:
-    """Native schema: {task_id, repo, file, prefix, ground_truth, cursor_line}."""
+    """Native schema: {task_id, repo, file, prefix, ground_truth, cursor_line}.
+    A missing required field reads as ``None``, which its check rejects."""
     return _task_from_fields(
-        task_id=str(record["task_id"]),
-        repo=record["repo"],
+        task_id=record.get("task_id"),
+        repo=record.get("repo"),
         file_path=record.get("file", ""),
-        prefix=record["prefix"],
+        prefix=record.get("prefix"),
         ground_truth=record.get("ground_truth"),
         cursor_line=record.get("cursor_line"),
     )
@@ -240,7 +241,7 @@ def adapt_cceval_record(record: dict) -> CompletionTask:
     if not isinstance(meta, dict):
         raise ValueError(f"metadata must be an object, got {meta!r}")
     return _task_from_fields(
-        task_id=str(_first_key(meta, ("task_id", "id"), _first_key(record, ("task_id",), "?"))),
+        task_id=_first_key(meta, ("task_id", "id"), _first_key(record, ("task_id",), "?")),
         repo=_first_key(meta, ("repository", "repo"), record.get("repo", "")),
         file_path=_first_key(meta, ("file", "fpath"), record.get("file", "")),
         prefix=_first_key(record, ("prompt", "prefix", "input")),
@@ -256,7 +257,7 @@ def adapt_recceval_record(record: dict) -> CompletionTask:
     gt/groundtruth -> ground_truth, namespace/pkg -> repo.
     """
     return _task_from_fields(
-        task_id=str(_first_key(record, ("task_id", "id", "namespace"), "?")),
+        task_id=_first_key(record, ("task_id", "id", "namespace"), "?"),
         repo=_first_key(record, ("repo", "pkg", "project", "namespace"), ""),
         file_path=_first_key(record, ("file", "fpath", "path"), ""),
         prefix=_first_key(record, ("input", "prompt", "prefix")),
@@ -303,5 +304,5 @@ def load_tasks(path: str | Path, adapter: str = "native") -> list[CompletionTask
 
 def save_report(report: MetricsReport, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.to_dict(), fh, ensure_ascii=False, indent=2)
+        json.dump(asdict(report), fh, ensure_ascii=False, indent=2)
         fh.write("\n")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -251,55 +251,16 @@ def complete(
     )
 
 
-def _score_jsonable(score: float):
-    return score if math.isfinite(score) else "inf"
-
-
-def result_artifacts(result: CompletionResult, effective_config: dict) -> dict:
-    """JSON-serializable artifact dump for one completed task."""
-    return {
-        "config": effective_config,
-        "query": {
-            "selected_chunks": list(result.query.selected_chunks),
-            "target_chunk": result.query.target_chunk,
-            "combined_text": result.query.combined_text,
-        },
-        "retrieval_list": [
-            {
-                "id": c.item_id,
-                "path": c.path.value,
-                "path_rank": c.path_rank,
-                "path_score": _score_jsonable(c.path_score),
-            }
-            for c in result.retrieval_list.candidates
-        ],
-        "rerank_outcome": {
-            "ordered_items": list(result.rerank_outcome.ordered_items),
-            "picker_calls": result.rerank_outcome.picker_calls,
-            "degraded": result.rerank_outcome.degraded,
-            "trace": [
-                {
-                    "window": list(ev.window_ids),
-                    "chosen": ev.chosen_id,
-                    "fallback": ev.fallback,
-                }
-                for ev in result.rerank_outcome.trace
-            ],
-        },
-        "prompt": result.prompt,
-        "generated": result.generated,
-        "timings": result.timings,
-    }
-
-
 def dump_artifacts(
     result: CompletionResult, task: CompletionTask, dump_dir: str | Path, effective_config: dict
 ) -> Path:
+    """Write ``{"config": effective_config, **asdict(result)}`` as
+    ``<task id>.json``: the record's keys are the result's field names."""
     out = Path(dump_dir)
     out.mkdir(parents=True, exist_ok=True)
     safe_id = "".join(c if c.isalnum() or c in "-_." else "_" for c in task.task_id)
     path = out / f"{safe_id}.json"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(result_artifacts(result, effective_config), fh, ensure_ascii=False, indent=2)
+        json.dump({"config": effective_config, **asdict(result)}, fh, ensure_ascii=False, indent=2)
         fh.write("\n")
     return path

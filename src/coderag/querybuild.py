@@ -56,8 +56,9 @@ def score_chunks(
     """One confidence score per chunk before the target, in file order.
 
     The probe calls are independent and overlap when the probe waits on
-    I/O (:func:`coderag.fanout.call_each`).  A failure raises
-    :class:`ProbeUnavailable` naming the lowest failing chunk.
+    I/O (:func:`coderag.fanout.call_each`).  A probe outage raises
+    :class:`ProbeUnavailable` naming the lowest failing chunk; any other
+    exception propagates as itself.
     """
     if not context:
         raise ValueError("scoring needs at least one chunk before the target")
@@ -65,7 +66,7 @@ def score_chunks(
     def score(index: int) -> float:
         try:
             return probe.greedy_score(probe_prompt(context[index], target_text), m)
-        except Exception as exc:
+        except ProbeUnavailable as exc:
             raise ProbeUnavailable(f"probe failed on chunk {index}: {exc}") from exc
 
     confidences = call_each(probe, score, range(len(context)))

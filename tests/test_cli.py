@@ -14,7 +14,10 @@ from coderag.cli import main
 from coderag.config import RunConfig, load_config, make_clients
 from coderag.clients import EchoGenerator, OverlapPicker, StubEmbedder, StubProbe
 from coderag.evaluation import task_from_record
-from coderag.pipeline import RepoIndex, complete
+from coderag.pipeline import CompletionResult, RepoIndex, complete
+from coderag.querybuild import RetrievalQuery
+from coderag.rerank import PickEvent, RerankOutcome
+from coderag.retrieve import RetrievalCandidate, RetrievalList
 
 from .conftest import MINI_PREFIX, MINI_REPO_FILES, write_repo
 
@@ -123,7 +126,7 @@ def test_index_empty_dir_exits_2(tmp_path, capsys):
     empty = tmp_path / "nothing"
     empty.mkdir()
     assert run_cli("index", str(empty), "--out", str(tmp_path / "o")) == 2
-    assert "no source files" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: no source files under {empty}\n"
 
 
 def test_complete_deterministic_output(indexed_mini, tmp_path, capsys):
@@ -147,8 +150,9 @@ def test_complete_dump_and_ablation(indexed_mini, tmp_path):
     (artifact_path,) = dump.glob("*.json")
     artifact = json.loads(artifact_path.read_text())
     assert artifact["config"]["paths"] == ["sparse"]
-    assert artifact["retrieval_list"], "sparse path must retrieve something"
-    assert {c["path"] for c in artifact["retrieval_list"]} == {"sparse"}
+    candidates = artifact["retrieval_list"]["candidates"]
+    assert candidates, "sparse path must retrieve something"
+    assert {c["path"] for c in candidates} == {"sparse"}
     assert artifact["prompt"].endswith("cfg = parse_conf")
 
 
@@ -170,15 +174,15 @@ def test_complete_all_path_variants(indexed_mini, tmp_path):
         ) == 0
         (artifact_path,) = dump.glob("*.json")
         artifact = json.loads(artifact_path.read_text())
-        assert {c["path"] for c in artifact["retrieval_list"]} == expected, paths
+        assert {c["path"] for c in artifact["retrieval_list"]["candidates"]} == expected, paths
 
 
 def test_complete_missing_index_exits_2(indexed_mini, tmp_path, capsys):
     repo, _ = indexed_mini
     task = write_task(tmp_path / "task.json", repo)
-    code = run_cli("complete", "--task", str(task), "--kb-dir", str(tmp_path / "missing"))
-    assert code == 2
-    assert "coderag index" in capsys.readouterr().err
+    for kb_dir in (tmp_path / "missing", task):  # no such path; a file
+        assert run_cli("complete", "--task", str(task), "--kb-dir", str(kb_dir)) == 2
+        assert "coderag index" in capsys.readouterr().err, kb_dir
 
 
 # Each is a path of the wrong kind: a directory for a file, a file for a directory.
@@ -194,11 +198,15 @@ WRONG_KIND_PATHS = {
 
 
 @pytest.mark.parametrize("case", sorted(WRONG_KIND_PATHS))
-def test_path_of_the_wrong_kind_exits_2(indexed_mini, tmp_path, capsys, case):
+def test_path_of_the_wrong_kind_exits_2(indexed_mini, tmp_path, capsys, monkeypatch, case):
     repo, idx = indexed_mini
+    calls = []
+    monkeypatch.setattr(RepoIndex, "build", lambda *args: calls.append(("build", args)))
+    monkeypatch.setattr("coderag.cli.complete", lambda *args: calls.append(("complete", args)))
     assert run_cli(*WRONG_KIND_PATHS[case](repo, idx, tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(tmp_path) in err
+    assert calls == []  # refused before any index is built or task completed
 
 
 def test_complete_version_1_sparse_index_asks_for_reindex(indexed_mini, tmp_path, capsys):
@@ -275,11 +283,68 @@ def test_cli_and_library_share_one_config(indexed_mini, tmp_path, capsys):
     cfg = RunConfig(j=4, u=8, paths=("sparse",))
     task = task_from_record(json.loads(task_path.read_text()))
     result = complete(task, RepoIndex.load(idx), make_clients(cfg), cfg)
-    assert [c["id"] for c in artifact["retrieval_list"]] == result.retrieval_list.item_ids()
+    candidates = artifact["retrieval_list"]["candidates"]
+    assert [c["item_id"] for c in candidates] == result.retrieval_list.item_ids()
     assert artifact["prompt"] == result.prompt
     assert artifact["generated"] == result.generated
     assert printed == result.generated + "\n"
     assert artifact["config"] == cfg.to_dict()
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses ``NaN``, ``Infinity`` and ``-Infinity``."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not standard JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_every_json_file_written_is_standard_json(indexed_mini, tmp_path):
+    repo, idx = indexed_mini
+    # the cursor line has a dataflow hit, util.load_defaults
+    prefix = "import util\ncfg = parse_config(PATH)\ns = util.load_defaults("
+    task = write_task(tmp_path / "task.json", repo, prefix=prefix)
+    dump = tmp_path / "dump"
+    assert run_cli(
+        "complete", "--task", str(task), "--kb-dir", str(idx), "--dump-dir", str(dump)
+    ) == 0
+    (artifact_path,) = dump.glob("*.json")
+    record = strict_json(artifact_path.read_text())
+    # the record's keys are the dataclasses' field names, nested too
+    assert set(record) == field_names(CompletionResult) | {"config"}
+    assert set(record["query"]) == field_names(RetrievalQuery)
+    assert set(record["retrieval_list"]) == field_names(RetrievalList)
+    candidates = record["retrieval_list"]["candidates"]
+    assert "dataflow" in {c["path"] for c in candidates}
+    assert all(set(c) == field_names(RetrievalCandidate) for c in candidates)
+    assert set(record["rerank_outcome"]) == field_names(RerankOutcome)
+    assert record["rerank_outcome"]["trace"]
+    assert all(set(e) == field_names(PickEvent) for e in record["rerank_outcome"]["trace"])
+
+    report = tmp_path / "report.json"
+    dataset = write_dataset(tmp_path / "tasks.jsonl", repo)
+    assert run_cli(
+        "evaluate", "--dataset", str(dataset), "--kb-dir", str(idx), "--report", str(report)
+    ) == 0
+    strict_json(report.read_text())
+    strict_json((idx / "manifest.json").read_text())
+    for line in (idx / "kb.jsonl").read_text().splitlines():
+        strict_json(line)
+
+    lists = tmp_path / "lists.jsonl"
+    candidate_list = [{"id": c["item_id"], "text": c["item_id"]} for c in candidates]
+    lists.write_text(json.dumps({"query": prefix, "candidates": candidate_list}) + "\n")
+    samples = tmp_path / "samples.jsonl"
+    assert run_cli("distill", "--in", str(lists), "--out", str(samples)) == 0
+    lines = samples.read_text().splitlines()
+    assert lines
+    for line in lines:
+        strict_json(line)
 
 
 def test_evaluate_writes_report(indexed_mini, tmp_path, capsys):
@@ -540,6 +605,10 @@ BAD_RECORDS = {
         {"cursor_line": "3"}, "task d1: cursor_line must be an integer, got '3'"
     ),
     "not JSON": ("{oops", "Expecting property name"),
+    "prefix missing": (
+        '{"task_id": "d1", "repo": "."}', "task d1: prefix must be a non-empty string, got None"
+    ),
+    "task id null": ({"task_id": None}, "task_id is missing"),
 }
 
 
@@ -569,6 +638,15 @@ def test_complete_task_file_that_is_not_an_object_exits_2(indexed_mini, tmp_path
     task_path.write_text("[1]\n")
     assert run_cli("complete", "--task", str(task_path), "--kb-dir", str(idx)) == 2
     assert "a task must be a JSON object, got list" in capsys.readouterr().err
+
+
+def test_complete_task_file_missing_a_field_exits_2(indexed_mini, tmp_path, capsys):
+    _, idx = indexed_mini
+    task_path = tmp_path / "task.json"
+    task_path.write_text('{"task_id": "t", "repo": "."}\n')
+    assert run_cli("complete", "--task", str(task_path), "--kb-dir", str(idx)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: bad input: task t: prefix must be a non-empty string, got None\n"
 
 
 def test_help_shows_defaults(capsys):

@@ -6,6 +6,7 @@ import json
 import random
 import re
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -201,7 +202,7 @@ def test_evaluate_needs_one_output_per_task():
 
 def test_report_dict_pins_keys_and_failure_fields():
     report = evaluate([_task(0, "ok"), _task(1, "ok")], ["ok", RuntimeError("boom")])
-    assert report.to_dict() == {
+    assert asdict(report) == {
         "em": 0.5,
         "es": 0.5,
         "id_em": 0.5,
@@ -213,8 +214,8 @@ def test_report_dict_pins_keys_and_failure_fields():
              "failed": True, "error": "boom"},
         ],
     }
-    assert list(report.to_dict()) == ["em", "es", "id_em", "id_f1", "per_task"]
-    assert list(report.to_dict()["per_task"][0]) == [
+    assert list(asdict(report)) == ["em", "es", "id_em", "id_f1", "per_task"]
+    assert list(asdict(report)["per_task"][0]) == [
         "task_id", "em", "es", "id_em", "id_f1", "failed", "error"
     ]
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from coderag.pipeline import (
     RepoIndex,
     assemble_prompt,
     complete,
-    result_artifacts,
+    dump_artifacts,
 )
 from coderag.retrieve import ALL_PATHS, RetrievalPath
 
@@ -294,23 +296,27 @@ def test_keyboard_interrupt_is_not_a_stage_error(mini_repo):
         complete(mini_task(mini_repo), index, clients)
 
 
-def test_artifact_dump_is_json_ready(mini_repo):
-    import json
+def dumped_record(result, task, dump_dir, config):
+    return json.loads(dump_artifacts(result, task, dump_dir, config).read_text())
 
+
+def test_artifact_dump_is_json_ready(mini_repo, tmp_path):
     index = RepoIndex.build(mini_repo, StubEmbedder())
-    result = complete(mini_task(mini_repo), index, stub_clients())
-    payload = result_artifacts(result, {"j": 15})
-    text = json.dumps(payload)
-    parsed = json.loads(text)
+    task = mini_task(mini_repo)
+    result = complete(task, index, stub_clients())
+    parsed = dumped_record(result, task, tmp_path, {"j": 15})
+    assert parsed == json.loads(json.dumps({"config": {"j": 15}, **asdict(result)}))
     assert parsed["config"] == {"j": 15}
     assert parsed["rerank_outcome"]["ordered_items"] == result.rerank_outcome.ordered_items
     assert parsed["prompt"] == result.prompt
 
 
-def test_dumped_paths_are_run_config_paths(mini_repo):
+def test_dumped_paths_are_run_config_paths(mini_repo, tmp_path):
     index = RepoIndex.build(mini_repo, StubEmbedder())
-    result = complete(mini_task(mini_repo), index, stub_clients())
-    dumped = {c["path"] for c in result_artifacts(result, {})["retrieval_list"]}
+    task = mini_task(mini_repo)
+    result = complete(task, index, stub_clients())
+    record = dumped_record(result, task, tmp_path, {})
+    dumped = {c["path"] for c in record["retrieval_list"]["candidates"]}
     assert dumped
     assert RunConfig(paths=tuple(dumped)).paths == tuple(dumped)
     assert dumped <= set(ALL_PATHS)

@@ -102,11 +102,21 @@ def test_equal_chunks_tie_to_lower_index():
 def test_probe_failure_is_wrapped():
     class Exploding:
         def greedy_score(self, prompt, m):
-            raise RuntimeError("socket closed")
+            raise ProbeUnavailable("socket closed")
 
     *context, target = chunk_file(lines(6), f=3)
-    with pytest.raises(ProbeUnavailable):
+    with pytest.raises(ProbeUnavailable, match="probe failed on chunk 0: socket closed"):
         score_chunks(context, target, Exploding(), m=2)
+
+
+def test_probe_bug_propagates_as_itself():
+    class Buggy:
+        def greedy_score(self, prompt, m):
+            raise TypeError("unsupported operand")
+
+    *context, target = chunk_file(lines(6), f=3)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        score_chunks(context, target, Buggy(), m=2)
 
 
 # --- construct_query --------------------------------------------------------
