@@ -112,8 +112,13 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def _read_task(path: str) -> CompletionTask:
-    with open(path, encoding="utf-8") as fh:
-        return task_from_json(json.load(fh))
+    """The task in a JSON file; a file that is not valid JSON or holds no
+    valid task raises ``ValueError`` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return task_from_json(json.load(fh))
+    except ValueError as exc:  # json.JSONDecodeError included
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def cmd_complete(args: argparse.Namespace) -> int:

@@ -17,11 +17,12 @@ across servers is not required.
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
+import socket
 import threading
-import urllib.error
-import urllib.request
+import urllib.parse
 from importlib import resources
 from typing import Any, Callable, Sequence
 
@@ -82,16 +83,65 @@ def parse_pick_reply(text: str, window_size: int) -> int:
     return number - 1
 
 
+# Each thread keeps one open connection per endpoint, so a serial chain
+# of calls (the tournament's leaf layer, the extraction replays) pays for
+# one TCP handshake, not one per call.
+_CONNECTIONS = threading.local()
+
+# A server that writes its headers and its body as two sends with Nagle
+# on (Python's http.server does) holds the body until the first send is
+# acknowledged; on a reused connection the client's delayed ACK then
+# stalls every call about 40 ms.  Linux clears the flag again on its
+# own, so it is set before each reply is read.
+_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
+
+
+def _connection(endpoint: str, timeout: float) -> tuple[http.client.HTTPConnection, str]:
+    """This thread's connection to ``endpoint`` and the request path."""
+    conns = _CONNECTIONS.__dict__.setdefault("by_endpoint", {})
+    entry = conns.get(endpoint)
+    if entry is None:
+        url = urllib.parse.urlsplit(endpoint)
+        kinds = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+        if url.scheme not in kinds or not url.hostname:
+            raise WireError(f"endpoint {endpoint!r} is not an http(s) URL")
+        path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        entry = conns[endpoint] = (kinds[url.scheme](url.hostname, url.port), path)
+    conn, _ = entry
+    conn.timeout = timeout
+    if conn.sock is not None:
+        conn.sock.settimeout(timeout)
+    return entry
+
+
+def _send(conn: http.client.HTTPConnection, path: str, body: bytes) -> http.client.HTTPResponse:
+    """The reply's status line and headers; a bytes body goes out in the
+    same send as the request headers."""
+    conn.request("POST", path, body=body, headers={"Content-Type": "application/json"})
+    if _QUICKACK is not None:
+        conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+    return conn.getresponse()
+
+
 def post_request(endpoint: str, payload: dict, timeout: float) -> dict:
     body = json.dumps(payload).encode("utf-8")
-    req = urllib.request.Request(
-        endpoint, data=body, headers={"Content-Type": "application/json"}, method="POST"
-    )
+    conn, path = _connection(endpoint, timeout)
     try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            raw = resp.read().decode("utf-8")
-    except (urllib.error.URLError, OSError) as exc:
+        try:
+            resp = _send(conn, path, body)
+        except (BrokenPipeError, ConnectionResetError):  # RemoteDisconnected included
+            # Closed before a status line came back: most likely a
+            # keep-alive connection the server had timed out.  One more
+            # try, on a new connection.
+            conn.close()
+            resp = _send(conn, path, body)
+        raw_bytes = resp.read()
+    except (http.client.HTTPException, OSError) as exc:
+        conn.close()
         raise WireError(f"endpoint {endpoint} unreachable: {exc}") from exc
+    if resp.status != 200:
+        raise WireError(f"endpoint {endpoint} returned HTTP {resp.status} {resp.reason}")
+    raw = raw_bytes.decode("utf-8")
     try:
         reply = json.loads(raw)
     except json.JSONDecodeError as exc:

@@ -646,7 +646,9 @@ def test_complete_task_file_missing_a_field_exits_2(indexed_mini, tmp_path, caps
     task_path.write_text('{"task_id": "t", "repo": "."}\n')
     assert run_cli("complete", "--task", str(task_path), "--kb-dir", str(idx)) == 2
     err = capsys.readouterr().err
-    assert err == "error: bad input: task t: prefix must be a non-empty string, got None\n"
+    assert err == (
+        f"error: bad input: {task_path}: task t: prefix must be a non-empty string, got None\n"
+    )
 
 
 def test_help_shows_defaults(capsys):

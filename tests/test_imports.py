@@ -37,7 +37,8 @@ def test_all_stub_clients_do_not_load_the_http_stack():
         "import coderag.cli\n"
         "from coderag.config import RunConfig, make_clients\n"
         "make_clients(RunConfig())\n"
-        "print(sorted(m for m in ('coderag.wire', 'urllib.request') if m in sys.modules))\n"
+        "http_stack = ('coderag.wire', 'http.client', 'urllib.request')\n"
+        "print(sorted(m for m in http_stack if m in sys.modules))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     env.pop("CODERAG_LM_ENDPOINT", None)

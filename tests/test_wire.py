@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import threading
 import time
 import zlib
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -24,6 +26,7 @@ from coderag.errors import (
 from coderag.evaluation import evaluate, load_tasks, save_report
 from coderag.fanout import FANOUT_WIDTH
 from coderag.pipeline import RepoIndex, complete
+from coderag.querybuild import construct_query
 from coderag.rerank import heap_rerank
 from coderag.wire import (
     PROTOCOL_VERSION,
@@ -40,14 +43,30 @@ from coderag.wire import (
 from .conftest import REPO10_FILES, write_repo
 
 
+def send_json(handler: BaseHTTPRequestHandler, status: int, obj: dict) -> None:
+    body = json.dumps(obj).encode("utf-8")
+    handler.send_response(status)
+    handler.send_header("Content-Type", "application/json")
+    handler.send_header("Content-Length", str(len(body)))
+    handler.end_headers()
+    handler.wfile.write(body)
+
+
 class StubServer:
-    """Deterministic protocol server; records every request payload."""
+    """Deterministic protocol server; records every request payload and
+    counts the connections it accepts.  It speaks HTTP/1.0, so it closes
+    each connection after its reply."""
+
+    protocol = "HTTP/1.0"
 
     def __init__(self):
         self.requests: list[dict] = []
+        self.accepted: list[socket.socket] = []
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = outer.protocol
+
             def log_message(self, *args):
                 pass
 
@@ -55,20 +74,35 @@ class StubServer:
                 length = int(self.headers.get("Content-Length", "0"))
                 payload = json.loads(self.rfile.read(length))
                 outer.requests.append(payload)
-                reply = outer.respond(payload)
-                body = json.dumps(reply).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
+                outer.answer(self, payload)
 
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        class Server(ThreadingHTTPServer):
+            def process_request(self, request, client_address):
+                outer.accepted.append(request)
+                super().process_request(request, client_address)
+
+        self.server = Server(("127.0.0.1", 0), Handler)
         # A short poll, because close() waits for the next one.
         self.thread = threading.Thread(
             target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
         )
         self.thread.start()
+
+    @property
+    def connections(self) -> int:
+        return len(self.accepted)
+
+    def answer(self, handler: BaseHTTPRequestHandler, payload: dict) -> None:
+        send_json(handler, 200, self.respond(payload))
+
+    def drop_connections(self) -> None:
+        """Close every accepted connection from the server's side, as a
+        server does with idle keep-alive connections."""
+        for sock in self.accepted:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed
+                pass
 
     @property
     def endpoint(self) -> str:
@@ -77,6 +111,7 @@ class StubServer:
 
     def close(self):
         self.server.shutdown()
+        self.drop_connections()  # ends keep-alive handlers, so that close does not wait
         self.server.server_close()
 
     def respond(self, payload: dict) -> dict:
@@ -187,14 +222,23 @@ def test_generator_client(server):
 
 
 class FixedReplyServer(StubServer):
-    """Answers every request with ``reply`` (plus the protocol version)."""
+    """Answers every request with ``reply`` (plus the protocol version)
+    under HTTP ``status``."""
 
-    def __init__(self, reply: dict):
+    def __init__(self, reply: dict, status: int = 200):
         self.reply = reply
+        self.status = status
         super().__init__()
 
-    def respond(self, payload: dict) -> dict:
-        return {"version": PROTOCOL_VERSION, **self.reply}
+    def answer(self, handler: BaseHTTPRequestHandler, payload: dict) -> None:
+        send_json(handler, self.status, {"version": PROTOCOL_VERSION, **self.reply})
+
+
+@dataclass(frozen=True)
+class ServerError:
+    """A reply that would be valid, sent with HTTP 500."""
+
+    reply: dict
 
 
 ROLE_CALLS = {
@@ -213,12 +257,14 @@ FAILED_CALLS = {
         ("no field", {}, ProbeUnavailable),
         ("wrong type", {"token_logprobs": 5}, ProbeUnavailable),
         ("wrong item type", {"token_logprobs": ["lots"]}, ProbeUnavailable),
+        ("HTTP 500", ServerError({"token_logprobs": [-1.0]}), ProbeUnavailable),
     ],
     "embedder": [
         ("dead endpoint", DEAD, EmbedderUnavailable),
         ("no field", {}, EmbedderUnavailable),
         ("wrong type", {"embedding": 0.5}, EmbedderUnavailable),
         ("wrong item type", {"embedding": ["x"]}, EmbedderUnavailable),
+        ("HTTP 500", ServerError({"embedding": [0.5]}), EmbedderUnavailable),
     ],
     "picker": [
         ("dead endpoint", DEAD, PickerUnavailable),
@@ -226,6 +272,7 @@ FAILED_CALLS = {
         # A text field is read with str(), so a reply of another type is
         # text that names no snippet: an invalid pick, not an outage.
         ("wrong type", {"text": None}, InvalidPickReply),
+        ("HTTP 500", ServerError({"text": "[C] = 1"}), PickerUnavailable),
     ],
     "generator": [
         ("dead endpoint", DEAD, WireError),
@@ -233,6 +280,7 @@ FAILED_CALLS = {
         # A completion must be text: null is not the completion "None".
         ("wrong type", {"text": None}, WireError),
         ("wrong item type", {"text": ["x"]}, WireError),
+        ("HTTP 500", ServerError({"text": "x"}), WireError),
     ],
 }
 
@@ -251,9 +299,12 @@ def test_failed_call_raises_its_role_error(role, reply, error):
         with pytest.raises(error):
             call(client_class("http://127.0.0.1:9/", timeout=0.2))  # discard port
         return
-    srv = FixedReplyServer(reply)
+    if isinstance(reply, ServerError):
+        srv, match = FixedReplyServer(reply.reply, status=500), "HTTP 500"
+    else:
+        srv, match = FixedReplyServer(reply), None
     try:
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             call(client_class(srv.endpoint))
     finally:
         srv.close()
@@ -276,6 +327,71 @@ def test_picker_reply_of_another_type_falls_back_in_the_tournament():
     assert not outcome.degraded
     assert outcome.picker_calls == 2  # one retry, then window position 0
     assert [(e.chosen_id, e.fallback) for e in outcome.trace] == [("a", True)]
+
+
+# --- one connection per thread and endpoint -------------------------------------
+
+
+class KeepAliveServer(StubServer):
+    """Keeps each connection open after its reply (HTTP/1.1)."""
+
+    protocol = "HTTP/1.1"
+
+
+class DroppingServer(StubServer):
+    """Reads each request, then closes the connection without a reply."""
+
+    def answer(self, handler: BaseHTTPRequestHandler, payload: dict) -> None:
+        handler.close_connection = True
+
+
+@pytest.fixture
+def keep_alive_server():
+    srv = KeepAliveServer()
+    yield srv
+    srv.close()
+
+
+def test_sequential_calls_share_one_connection(keep_alive_server):
+    embedder = WireEmbedderClient(keep_alive_server.endpoint)
+    for i in range(20):
+        assert embedder.embed(f"text {i}") == [0.5, 0.5, 0.0, 0.0]
+    assert len(keep_alive_server.requests) == 20
+    assert keep_alive_server.connections == 1
+
+
+def test_fanned_out_probe_opens_a_connection_per_thread_at_most(keep_alive_server):
+    probe = WireProbeClient(keep_alive_server.endpoint)
+    text = "\n".join(f"x{i} = {i}" for i in range(13))  # 12 chunks before the target
+    for _ in range(2):
+        construct_query(text, f=1, m=2, g=1, probe=probe)
+    assert len(keep_alive_server.requests) == 24
+    assert keep_alive_server.connections <= FANOUT_WIDTH + 1
+
+
+@pytest.mark.parametrize("role", ROLE_CALLS)
+def test_connection_the_server_closed_is_reopened_once(keep_alive_server, role):
+    client_class, call = ROLE_CALLS[role]
+    client = client_class(keep_alive_server.endpoint)
+    call(client)
+    keep_alive_server.drop_connections()
+    call(client)
+    assert len(keep_alive_server.requests) == 2
+    assert keep_alive_server.connections == 2
+
+
+@pytest.mark.parametrize("role", ROLE_CALLS)
+def test_server_that_drops_every_connection_fails_after_two_attempts(role):
+    client_class, call = ROLE_CALLS[role]
+    _, _, dead_endpoint_error = FAILED_CALLS[role][0]
+    srv = DroppingServer()
+    try:
+        with pytest.raises(dead_endpoint_error):
+            call(client_class(srv.endpoint))
+    finally:
+        srv.close()
+    assert len(srv.requests) == 2
+    assert srv.connections == 2
 
 
 # --- template & reply parsing -------------------------------------------------
