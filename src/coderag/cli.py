@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -22,7 +21,9 @@ from .distill import (
     load_query_lists,
     save_samples,
 )
-from .errors import CodeRagError, EmptyRepository, IndexFormatError, PickerUnavailable
+from .errors import (
+    CodeRagError, EmptyRepository, GraphUnavailable, IndexFormatError, PickerUnavailable,
+)
 from .evaluation import (
     ADAPTERS,
     evaluate,
@@ -34,6 +35,7 @@ from .evaluation import (
     task_from_json,
 )
 from .fanout import FANOUT_WIDTH
+from .jsonio import read_json_file
 from .pipeline import CompletionResult, CompletionTask, RepoIndex, complete, dump_artifacts
 from .retrieve import ALL_PATHS
 
@@ -111,26 +113,18 @@ def cmd_index(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_task(path: str) -> CompletionTask:
-    """The task in a JSON file; a file that is not valid JSON or holds no
-    valid task raises ``ValueError`` naming the path."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return task_from_json(json.load(fh))
-    except ValueError as exc:  # json.JSONDecodeError included
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def cmd_complete(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    task = _read_task(args.task)
+    task = read_json_file(args.task, task_from_json)
     index = _load_index(args.kb_dir)
     clients = make_clients(cfg)
     result = complete(task, index, clients, cfg)
     if args.dataflow_dot:
-        Path(args.dataflow_dot).write_text(
-            to_dot(build_dataflow_graph(task.prefix)) + "\n", encoding="utf-8"
-        )
+        try:  # as in complete, a prefix without a graph is not an error
+            dot = to_dot(build_dataflow_graph(task.prefix))
+            Path(args.dataflow_dot).write_text(dot + "\n", encoding="utf-8")
+        except GraphUnavailable as exc:
+            print(f"no dataflow graph, {args.dataflow_dot} not written: {exc}", file=sys.stderr)
     if args.dump_dir:
         dump_artifacts(result, task, args.dump_dir, cfg.to_dict())
     print(result.generated)
@@ -196,6 +190,7 @@ def cmd_distill(args: argparse.Namespace) -> int:
     clients = make_clients(cfg)
     pairs = load_query_lists(getattr(args, "in"))
     sizes = tuple(int(s) for s in args.sizes.split(",") if s)
+    open(args.out, "a", encoding="utf-8").close()  # an unwritable --out fails before any vote
     try:
         samples = build_distillation_data(pairs, clients.picker, sizes, rng_seed=cfg.seed)
     except PickerUnavailable as exc:

@@ -10,14 +10,14 @@ after reranking, 48 generated tokens at temperature 0 within a
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from urllib.parse import urlsplit
 
 from .clients import EchoGenerator, OverlapPicker, PipelineClients, StubEmbedder, StubProbe
+from .jsonio import read_json_file
 from .retrieve import ALL_PATHS
 
 CONFIG_VERSION = 1
@@ -46,20 +46,20 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("f", "m", "g", "j", "u", "w"):
-            value = getattr(self, name)
-            minimum = 0 if name == "g" else 1
+        # Types first, so the range checks below compare numbers.
+        for f in fields(self):
+            _check_value_type(f.name, getattr(self, f.name), f.default)
+        object.__setattr__(self, "paths", tuple(self.paths))
+        minimums = {"g": 0, "w": 2}
+        for name in ("f", "m", "g", "j", "u", "w", "max_new_tokens", "max_input_tokens"):
+            value, minimum = getattr(self, name), minimums.get(name, 1)
             if value < minimum:
                 raise ValueError(f"{name} must be >= {minimum}, got {value}")
-        if self.w < 2:
-            raise ValueError("window size w must be >= 2")
         if not self.u < 2 * self.j + 1:
             raise ValueError(f"u must be < 2j+1 (u={self.u}, j={self.j})")
         unknown = set(self.paths) - set(ALL_PATHS)
         if unknown:
             raise ValueError(f"unknown retrieval paths: {sorted(unknown)}")
-        if self.max_new_tokens < 1 or self.max_input_tokens < 1:
-            raise ValueError("token limits must be positive")
         if not math.isfinite(self.temperature) or self.temperature < 0:
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         for name in ("probe_endpoint", "embed_endpoint", "pick_endpoint", "generate_endpoint"):
@@ -72,15 +72,15 @@ class RunConfig:
         return out
 
 
-def _check_endpoint(key: str, value: object) -> None:
+def _check_endpoint(key: str, value: str) -> None:
     """An endpoint is the stub, empty (the environment fallback) or an
     ``http(s)://`` URL with a host; anything else raises ``ValueError``
     naming ``key``, before any model call could fail on it."""
     if value in ("", STUB_ENDPOINT):
         return
     try:
-        url = urlsplit(value) if isinstance(value, str) else None
-        ok = url is not None and url.scheme in ("http", "https") and bool(url.hostname)
+        url = urlsplit(value)
+        ok = url.scheme in ("http", "https") and bool(url.hostname)
     except ValueError:  # e.g. an unclosed IPv6 bracket
         ok = False
     if not ok:
@@ -91,10 +91,11 @@ def _check_endpoint(key: str, value: object) -> None:
 
 
 def _check_value_type(name: str, value: object, default: object) -> None:
-    """A config-file value must have its default's JSON type."""
+    """A value must have its default's type: an exact ``int``; an int or a
+    float, not a bool, for a float; a list or tuple of strings for ``paths``."""
     if name == "paths":
         expected = "a list of strings"
-        ok = isinstance(value, list) and all(isinstance(p, str) for p in value)
+        ok = isinstance(value, (list, tuple)) and all(isinstance(p, str) for p in value)
     elif isinstance(default, float):
         expected = "a number"
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -106,28 +107,23 @@ def _check_value_type(name: str, value: object, default: object) -> None:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Read a versioned JSON config file; missing keys take defaults.
+    """Read a versioned JSON config file; missing keys take defaults.  A top
+    level that is not an object, a version other than the integer 1, an
+    unknown key or a value :class:`RunConfig` refuses raises ``ValueError``
+    naming the file."""
+    return read_json_file(path, _config_from_json)
 
-    A top level that is not an object, an unknown key or a value of the
-    wrong type raises ``ValueError``.
-    """
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+
+def _config_from_json(raw: object) -> RunConfig:
     if not isinstance(raw, dict):
         raise ValueError(f"config file must hold a JSON object, got {type(raw).__name__}")
     version = raw.pop("version", CONFIG_VERSION)
-    if version != CONFIG_VERSION:
+    if type(version) is not int or version != CONFIG_VERSION:
         raise ValueError(f"unsupported config version {version}")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    defaults = RunConfig()
-    for name, value in raw.items():
-        _check_value_type(name, value, getattr(defaults, name))
-    if "paths" in raw:
-        raw["paths"] = tuple(raw["paths"])
-    return replace(defaults, **raw)
+    return RunConfig(**raw)
 
 
 def _endpoint(configured: str) -> str:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .clients import PickerClient, checked_pick
 from .errors import PickerUnavailable
-from .evaluation import read_json_lines
+from .jsonio import read_json_lines
 
 DEFAULT_SAMPLE_SIZES = (2, 3, 4, 5, 6, 7)
 SUBSETS_PER_SIZE = 3
@@ -158,5 +158,5 @@ def query_list_from_json(rec: object) -> tuple[str, list[Snippet]]:
 
 def load_query_lists(in_path: str | Path) -> list[tuple[str, list[Snippet]]]:
     """Read line-delimited JSON records (:func:`query_list_from_json`)
-    through :func:`coderag.evaluation.read_json_lines`."""
+    through :func:`coderag.jsonio.read_json_lines`."""
     return read_json_lines(in_path, query_list_from_json)

@@ -15,12 +15,11 @@ import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence
 
+from .jsonio import read_json_lines
 from .lexing import iter_identifiers
 from .pipeline import CompletionTask
-
-T = TypeVar("T")
 
 
 def levenshtein(x: str, y: str) -> int:
@@ -183,39 +182,12 @@ def failed_tasks_line(failed: int, total: int) -> str:
     return f"failed tasks: {failed}/{total}"
 
 
-def _task_from_fields(
-    task_id: object, repo: str, file_path: str, prefix: str, ground_truth: str | None,
-    cursor_line: int | None,
-) -> CompletionTask:
-    if task_id is None:
-        raise ValueError("task_id is missing")
-    task_id = str(task_id)
-    if not isinstance(prefix, str) or not prefix:
-        raise ValueError(f"task {task_id}: prefix must be a non-empty string, got {prefix!r}")
-    if not isinstance(repo, str):
-        raise ValueError(f"task {task_id}: repo must be a string, got {repo!r}")
-    if ground_truth is not None and not isinstance(ground_truth, str):
-        raise ValueError(f"task {task_id}: ground_truth must be a string, got {ground_truth!r}")
-    if cursor_line is not None and type(cursor_line) is not int:
-        raise ValueError(f"task {task_id}: cursor_line must be an integer, got {cursor_line!r}")
-    if cursor_line is None:
-        cursor_line = len(prefix.replace("\r\n", "\n").split("\n"))
-    return CompletionTask(
-        task_id=task_id,
-        repo_root=repo,
-        file_path=file_path,
-        prefix=prefix,
-        cursor_line=cursor_line,
-        ground_truth=ground_truth,
-    )
-
-
 def task_from_record(record: dict) -> CompletionTask:
     """Native schema: {task_id, repo, file, prefix, ground_truth, cursor_line}.
     A missing required field reads as ``None``, which its check rejects."""
-    return _task_from_fields(
+    return CompletionTask(
         task_id=record.get("task_id"),
-        repo=record.get("repo"),
+        repo_root=record.get("repo"),
         file_path=record.get("file", ""),
         prefix=record.get("prefix"),
         ground_truth=record.get("ground_truth"),
@@ -240,9 +212,9 @@ def adapt_cceval_record(record: dict) -> CompletionTask:
     meta = record.get("metadata", {})
     if not isinstance(meta, dict):
         raise ValueError(f"metadata must be an object, got {meta!r}")
-    return _task_from_fields(
+    return CompletionTask(
         task_id=_first_key(meta, ("task_id", "id"), _first_key(record, ("task_id",), "?")),
-        repo=_first_key(meta, ("repository", "repo"), record.get("repo", "")),
+        repo_root=_first_key(meta, ("repository", "repo"), record.get("repo", "")),
         file_path=_first_key(meta, ("file", "fpath"), record.get("file", "")),
         prefix=_first_key(record, ("prompt", "prefix", "input")),
         ground_truth=_first_key(record, ("groundtruth", "ground_truth", "gt")),
@@ -256,9 +228,9 @@ def adapt_recceval_record(record: dict) -> CompletionTask:
     Mapping (best effort across release variants): input/prompt -> prefix,
     gt/groundtruth -> ground_truth, namespace/pkg -> repo.
     """
-    return _task_from_fields(
+    return CompletionTask(
         task_id=_first_key(record, ("task_id", "id", "namespace"), "?"),
-        repo=_first_key(record, ("repo", "pkg", "project", "namespace"), ""),
+        repo_root=_first_key(record, ("repo", "pkg", "project", "namespace"), ""),
         file_path=_first_key(record, ("file", "fpath", "path"), ""),
         prefix=_first_key(record, ("input", "prompt", "prefix")),
         ground_truth=_first_key(record, ("gt", "groundtruth", "ground_truth")),
@@ -281,24 +253,9 @@ def task_from_json(record: object, adapter: str = "native") -> CompletionTask:
     return ADAPTERS[adapter](record)
 
 
-def read_json_lines(path: str | Path, parse: Callable[[object], T]) -> list[T]:
-    """``parse`` of each non-blank line's JSON value, in file order; a line
-    that is not valid JSON or that ``parse`` rejects with ``ValueError``
-    raises ``ValueError`` naming the path and the line."""
-    out: list[T] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    out.append(parse(json.loads(line)))
-                except ValueError as exc:  # json.JSONDecodeError included
-                    raise ValueError(f"{path} line {lineno}: {exc}") from exc
-    return out
-
-
 def load_tasks(path: str | Path, adapter: str = "native") -> list[CompletionTask]:
     """Read line-delimited JSON tasks through the named adapter
-    (:func:`read_json_lines`)."""
+    (:func:`coderag.jsonio.read_json_lines`)."""
     return read_json_lines(path, lambda record: task_from_json(record, adapter))
 
 

@@ -35,19 +35,36 @@ SNIPPET_HEADER = "# file: {path}"
 @dataclass(frozen=True)
 class CompletionTask:
     """One completion case: everything before the cursor plus, when
-    evaluating, the reference completion.  ``cursor_line`` records the
-    prefix's last line (1-based); the pipeline never reads it."""
+    evaluating, the reference completion.  ``task_id`` may be any value
+    but ``None`` and is kept as its text.  ``cursor_line`` records the
+    prefix's last line (1-based), derived from the prefix when not given;
+    the pipeline never reads it.  A field of the wrong type raises
+    ``ValueError`` naming it by its dataset record key (``repo``, ``file``)."""
 
     task_id: str
     repo_root: str
     file_path: str
     prefix: str
-    cursor_line: int
+    cursor_line: int | None = None
     ground_truth: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.prefix:
-            raise ValueError(f"task {self.task_id}: prefix must be non-empty")
+        if self.task_id is None:
+            raise ValueError("task_id is missing")
+        object.__setattr__(self, "task_id", str(self.task_id))
+
+        def require(key: str, value: object, ok: bool, expected: str = "a string") -> None:
+            if not ok:
+                raise ValueError(f"task {self.task_id}: {key} must be {expected}, got {value!r}")
+
+        prefix, gt, line = self.prefix, self.ground_truth, self.cursor_line
+        require("prefix", prefix, isinstance(prefix, str) and prefix != "", "a non-empty string")
+        require("repo", self.repo_root, isinstance(self.repo_root, str))
+        require("file", self.file_path, isinstance(self.file_path, str))
+        require("ground_truth", gt, gt is None or isinstance(gt, str))
+        require("cursor_line", line, line is None or type(line) is int, "an integer")
+        if line is None:
+            object.__setattr__(self, "cursor_line", len(prefix.replace("\r\n", "\n").split("\n")))
 
 
 @dataclass

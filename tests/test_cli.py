@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from coderag import cli
 from coderag.cli import main
 from coderag.config import RunConfig, load_config, make_clients
 from coderag.clients import EchoGenerator, OverlapPicker, StubEmbedder, StubProbe
@@ -268,6 +269,34 @@ def test_complete_dataflow_dot(indexed_mini, tmp_path):
     assert dot.read_text().startswith("digraph dataflow {")
 
 
+def test_complete_dataflow_dot_of_a_prefix_without_a_graph_still_completes(
+    indexed_mini, tmp_path, capsys, monkeypatch
+):
+    # The prefix nests too deeply to parse: complete skips the dataflow
+    # path, and --dataflow-dot writes no file but says why.
+    repo, idx = indexed_mini
+    prefix = "x = " + "+".join(["a"] * 3000) + "\nz = f("
+    task = write_task(tmp_path / "task.json", repo, prefix=prefix)
+    argv = ("complete", "--task", str(task), "--kb-dir", str(idx))
+    assert run_cli(*argv, "--dump-dir", str(tmp_path / "plain")) == 0
+    plain = capsys.readouterr().out
+    built = []
+    real_build = cli.build_dataflow_graph
+    monkeypatch.setattr(cli, "build_dataflow_graph", lambda p: built.append(p) or real_build(p))
+    dot = tmp_path / "graph.dot"
+    assert run_cli(*argv, "--dump-dir", str(tmp_path / "dot"), "--dataflow-dot", str(dot)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain == "z = f(\n"
+    assert not dot.exists() and len(built) == 1
+    assert captured.err.startswith(f"no dataflow graph, {dot} not written: prefix nests too deeply")
+
+    def record(directory: Path) -> dict:
+        (path,) = directory.glob("*.json")
+        return {k: v for k, v in json.loads(path.read_text()).items() if k != "timings"}
+
+    assert record(tmp_path / "dot") == record(tmp_path / "plain")
+
+
 def test_cli_and_library_share_one_config(indexed_mini, tmp_path, capsys):
     repo, idx = indexed_mini
     task_path = write_task(tmp_path / "task.json", repo)
@@ -463,6 +492,22 @@ def test_distill_unreachable_picker_flushes_partial(tmp_path, capsys):
     assert "picker unavailable" in capsys.readouterr().err
 
 
+def test_distill_out_of_the_wrong_kind_exits_2_before_any_pick(tmp_path, capsys, monkeypatch):
+    lists = tmp_path / "lists.jsonl"
+    lists.write_text(json.dumps({
+        "query": "q",
+        "candidates": [{"id": f"c{i}", "text": f"t{i}"} for i in range(3)],
+    }) + "\n")
+    picks = []
+    real_pick = OverlapPicker.pick
+    monkeypatch.setattr(
+        OverlapPicker, "pick", lambda self, *args: picks.append(args) or real_pick(self, *args)
+    )
+    assert run_cli("distill", "--in", str(lists), "--out", str(tmp_path)) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert picks == []
+
+
 def test_distill_default_sizes_skip_capped(tmp_path):
     lists = tmp_path / "lists.jsonl"
     lists.write_text(json.dumps({
@@ -601,6 +646,7 @@ BAD_RECORDS = {
         {"ground_truth": 7}, "task d1: ground_truth must be a string, got 7"
     ),
     "repo not a string": ({"repo": ["r"]}, "task d1: repo must be a string, got ['r']"),
+    "file not a string": ({"file": 5}, "task d1: file must be a string, got 5"),
     "cursor line not an integer": (
         {"cursor_line": "3"}, "task d1: cursor_line must be an integer, got '3'"
     ),
@@ -712,14 +758,42 @@ def test_config_file_rejects_wrong_value_types(tmp_path, raw):
         load_config(path)
 
 
+def test_run_config_checks_value_types_as_a_config_file_does():
+    with pytest.raises(ValueError, match="config key 'j' must be an integer, got '3'"):
+        RunConfig(j="3")
+    with pytest.raises(ValueError, match="config key 'temperature' must be a number, got True"):
+        RunConfig(temperature=True)
+    assert RunConfig(paths=["sparse"]).paths == ("sparse",)
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [("{\"j\": 3", "Expecting ',' delimiter"),
+     ('{"j": "3"}', "config key 'j' must be an integer, got '3'")],
+    ids=["not JSON", "j a string"],
+)
+def test_config_file_error_names_the_file(indexed_mini, tmp_path, capsys, content, message):
+    repo, idx = indexed_mini
+    config = tmp_path / "run.json"
+    config.write_text(content)
+    task = write_task(tmp_path / "task.json", repo)
+    code = run_cli(
+        "complete", "--task", str(task), "--kb-dir", str(idx), "--config", str(config)
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: bad input: {config}: {message}")
+
+
 @pytest.mark.parametrize(
     "content,named",
     [
         ([1], "JSON object"),
         ({"j": "4"}, "'j'"),
         ({"paths": 5}, "'paths'"),
+        ({"version": True}, "unsupported config version True"),
+        ({"version": 1.0}, "unsupported config version 1.0"),
     ],
-    ids=["top level a list", "j a string", "paths a number"],
+    ids=["top level a list", "j a string", "paths a number", "version true", "version 1.0"],
 )
 def test_complete_wrong_shaped_config_is_bad_input(
     indexed_mini, tmp_path, capsys, content, named

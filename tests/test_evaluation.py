@@ -337,6 +337,17 @@ def test_recceval_adapter():
     assert task.ground_truth == "load()"
 
 
+@pytest.mark.parametrize(
+    "adapter,record",
+    [("native", {"task_id": 7, "repo": "/r", "prefix": "x"}),
+     ("cceval", {"prompt": "x", "metadata": {"task_id": 7}}),
+     ("recceval", {"id": 7, "input": "x"})],
+)
+def test_a_task_id_that_is_not_a_string_is_kept_as_text(adapter, record):
+    assert task_from_json(record, adapter).task_id == "7"
+    assert CompletionTask(7, "/r", "f.py", "x").task_id == "7"
+
+
 def test_task_from_record_rejects_empty_prefix():
     with pytest.raises(ValueError):
         task_from_record({"task_id": "x", "repo": "/r", "prefix": ""})

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from coderag.pipeline import (
 )
 from coderag.retrieve import ALL_PATHS, RetrievalPath
 
-from .conftest import MINI_PREFIX
+from .conftest import MINI_PREFIX, MINI_REPO_FILES, write_repo
 from .prompt_oracle import linear_assemble_prompt
 
 
@@ -333,6 +335,39 @@ def test_generation_config_validation():
 def test_completion_task_requires_prefix():
     with pytest.raises(ValueError):
         CompletionTask("t", "/r", "f.py", prefix="", cursor_line=1)
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("task_id", None, "task_id is missing"),
+        ("repo_root", None, "task t: repo must be a string, got None"),
+        ("file_path", 5, "task t: file must be a string, got 5"),
+        ("ground_truth", 7, "task t: ground_truth must be a string, got 7"),
+        ("cursor_line", "3", "task t: cursor_line must be an integer, got '3'"),
+    ],
+)
+def test_completion_task_checks_each_field_as_a_dataset_line_does(field, value, message):
+    fields = {"task_id": "t", "repo_root": "/r", "file_path": "f.py", "prefix": "x = 1"}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CompletionTask(**{**fields, field: value})
+
+
+def test_completion_task_derives_cursor_line_from_the_prefix():
+    assert CompletionTask("t", "/r", "f.py", "a\r\nb\nc").cursor_line == 3
+    assert CompletionTask("t", "/r", "f.py", "a\n").cursor_line == 2
+    assert CompletionTask("t", "/r", "f.py", "a\nb", cursor_line=7).cursor_line == 7
+
+
+def test_readme_python_example_runs_as_written(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    monkeypatch.delenv("CODERAG_LM_ENDPOINT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    index = RepoIndex.build(write_repo(Path("repo"), MINI_REPO_FILES), StubEmbedder())
+    index.save("idx")
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "cfg = parse_conf\n"  # the stub echoes the cursor line
 
 
 def test_repo_index_round_trip(mini_repo, tmp_path):
